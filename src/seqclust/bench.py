@@ -34,7 +34,7 @@ __all__ = ["ExperimentSpec", "ResultTable", "run_sweep", "run_cer_experiment",
            "run_experiment", "preset", "load_spec_file", "PRESET_NAMES", "time_fit"]
 
 _GENERATORS = ("sim1", "sim2", "profiles")
-_ALGORITHMS = ("kmeans", "kmedians", "kmedians-auto", "pam", "tkmeans")
+_ALGORITHMS = ("kmeans", "kmedians", "kmedians-auto", "pam")
 
 _COLUMNS = [
     "experiment", "kind", "replication", "n", "d", "k", "algorithm",
@@ -153,10 +153,6 @@ def _run_replication(spec: ExperimentSpec, rep: int):
                         "cer": None, "chosen_restart": None, "distance_evals": None,
                         "status": "ok",
                     }
-                    if algo == "tkmeans":
-                        row["status"] = "not implemented"
-                        rows.append(row)
-                        continue
                     entropy = [spec.seed, 1, rep, si, ki, ai, ci]
                     try:
                         fit = lambda: _fit_cell(algo, data, kk, c, spec.restarts, entropy)
@@ -195,7 +191,7 @@ class ResultTable:
     timings: list = field(default_factory=list)
 
     def all_ok(self) -> bool:
-        return all(r["status"] in ("ok", "not implemented") for r in self.rows)
+        return all(r["status"] == "ok" for r in self.rows)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -233,7 +229,7 @@ class ResultTable:
                     entry[f"{met}_q1"] = float(np.percentile(vals, 25))
                     entry[f"{met}_q3"] = float(np.percentile(vals, 75))
             out.append(entry)
-        n_bad = sum(1 for r in self.rows if r["status"] not in ("ok", "not implemented"))
+        n_bad = sum(1 for r in self.rows if r["status"] != "ok")
         return {
             "experiment": self.spec.name,
             "kind": self.spec.kind,
@@ -308,40 +304,40 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
 _PRESETS = {
     "fig3": dict(
         kind="sweep", generator="sim1", generator_params={"n": 250, "epsilon": 0.05},
-        k=3, algorithms=["kmeans", "kmedians", "pam", "tkmeans"], restarts=10,
+        k=3, algorithms=["kmeans", "kmedians", "pam"], restarts=10,
         replications=50, c_grid=[0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 10.0],
     ),
     "fig4": dict(
         kind="sweep", generator="sim2",
         generator_params={"n": 500, "d": 50, "epsilon": 0.05},
-        k=3, algorithms=["kmeans", "kmedians", "pam", "tkmeans"], restarts=25,
+        k=3, algorithms=["kmeans", "kmedians", "pam"], restarts=25,
         replications=50, c_grid=[0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
     ),
     "fig5": dict(
         kind="sweep", generator="sim2",
         generator_params={"n": 1000, "d": 200, "epsilon": 0.05, "scale": 10.0},
-        k=3, algorithms=["kmeans", "kmedians", "pam", "tkmeans"], restarts=50,
+        k=3, algorithms=["kmeans", "kmedians", "pam"], restarts=50,
         replications=50, c_grid=[2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0],
     ),
     "fig6": dict(
         kind="cer", generator="sim1", generator_params={"n": 500, "epsilon": 0.0},
-        k=3, algorithms=["kmeans", "kmedians-auto", "pam", "tkmeans"], restarts=10,
+        k=3, algorithms=["kmeans", "kmedians-auto", "pam"], restarts=10,
         replications=500,
     ),
     "fig7": dict(
         kind="cer", generator="sim1", generator_params={"n": 500, "epsilon": 0.05},
-        k=3, algorithms=["kmeans", "kmedians-auto", "pam", "tkmeans"], restarts=10,
+        k=3, algorithms=["kmeans", "kmedians-auto", "pam"], restarts=10,
         replications=500,
     ),
     "fig8": dict(
         kind="cer", generator="sim1", generator_params={"n": 1000, "epsilon": 0.10},
-        k=3, algorithms=["kmeans", "kmedians-auto", "pam", "tkmeans"], restarts=10,
+        k=3, algorithms=["kmeans", "kmedians-auto", "pam"], restarts=10,
         replications=500,
     ),
     "fig9": dict(
         kind="cer", generator="sim2",
         generator_params={"n": 500, "d": 50, "epsilon": 0.05},
-        k=3, algorithms=["kmeans", "kmedians-auto", "pam", "tkmeans"], restarts=25,
+        k=3, algorithms=["kmeans", "kmedians-auto", "pam"], restarts=25,
         replications=100,
     ),
     "table1": dict(

@@ -22,6 +22,7 @@ __all__ = [
     "assign_nearest",
     "Dataset",
     "FitReport",
+    "as_sample",
     "read_csv",
     "write_csv",
     "write_model",
@@ -135,6 +136,28 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+
+def as_sample(data, k: int) -> np.ndarray:
+    """The (n, d) rows a fit of k clusters runs on.
+
+    A Dataset is taken as is (its constructor already checked it); any other
+    input must be a finite 2-d array with d >= 1. Also requires 1 <= k <= n.
+    """
+    if isinstance(data, Dataset):
+        X = data.X
+    else:
+        X = np.asarray(data, dtype=float)
+        if X.ndim != 2 or X.shape[1] < 1:
+            raise ValueError(f"data must be a 2-d (n, d) array with d >= 1, got shape {X.shape}")
+        finite = np.isfinite(X).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"data row {int(np.argmin(finite))} contains non-finite values")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if X.shape[0] < k:
+        raise ValueError(f"need at least k={k} observations, got n={X.shape[0]}")
+    return X
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, FitReport, _check_centers, normalized_distances
+from .core import FitReport, _check_centers, as_sample, normalized_distances
 
 __all__ = ["KMeansState", "kmeans_init", "kmeans_step", "kmeans_fit"]
 
@@ -118,6 +118,57 @@ def draw_seeds(X, k, rng, attempts=16) -> np.ndarray:
     return s
 
 
+def _fit_restarts(algorithm, X, k, run, *, seeds, restarts, seed, shuffle):
+    """Restart policy shared by the sequential fits.
+
+    Each restart draws k distinct rows as seeds from its own substream of
+    SeedSequence(seed), streams the rows (in a seeded random order when
+    `shuffle`) through run(seeds, rows) -> (centers, state), and scores the
+    centers by empirical L1 risk. Explicit `seeds` make a single run on the
+    root stream. Returns the report of the lowest-risk restart with the
+    fields both fits share, and that restart's state.
+    """
+    t0 = time.perf_counter()
+    n, d = X.shape
+    ss = np.random.SeedSequence(seed)
+    if seeds is not None:
+        seeds = _check_seeds(seeds)
+        if seeds.shape != (k, d):
+            raise ValueError(f"seeds have shape {seeds.shape}, the fit needs (k, d) = {(k, d)}")
+        children = [ss]
+    else:
+        if restarts < 1:
+            raise ValueError("restarts must be >= 1")
+        children = ss.spawn(restarts)
+
+    best = None
+    for ridx, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        s = seeds if seeds is not None else draw_seeds(X, k, rng)
+        centers, state = run(s, X[rng.permutation(n)] if shuffle else X)
+        D = normalized_distances(X, centers)
+        risk = float(D.min(axis=1).mean())
+        if best is None or risk < best[0]:
+            best = (risk, centers, state, D.argmin(axis=1), ridx, s)
+
+    risk, centers, state, assignments, ridx, s = best
+    report = FitReport(
+        algorithm=algorithm,
+        k=k,
+        d=d,
+        centers=centers,
+        risk=risk,
+        assignments=assignments,
+        restart=ridx,
+        restarts=len(children),
+        rng_seed=seed,
+        wall_time=time.perf_counter() - t0,
+        distance_evals=2 * n * k * len(children),  # one stream + one scoring pass each
+        seeds=s,
+    )
+    return report, state
+
+
 def kmeans_fit(
     data,
     k: int,
@@ -129,57 +180,20 @@ def kmeans_fit(
 ) -> FitReport:
     """One pass of MacQueen k-means over the data, best of `restarts` by L1 risk.
 
-    With explicit `seeds` a single run is performed. Otherwise each restart
-    draws k distinct rows as seeds from its own RNG substream; the fit with
-    the lowest empirical L1 risk is returned.
+    With explicit `seeds` (shape (k, d)) a single run is performed. Otherwise
+    each restart draws k distinct rows as seeds from its own RNG substream;
+    the fit with the lowest empirical L1 risk is returned.
     """
-    X = data.X if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < k:
-        raise ValueError(f"need at least k={k} observations, got n={n}")
-    t0 = time.perf_counter()
-    ss = np.random.SeedSequence(seed)
-    if seeds is not None:
-        restarts = 1
-        children = [ss]
-    else:
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        children = ss.spawn(restarts)
+    X = as_sample(data, k)
 
-    evals = 0
-    best = None
-    for ridx in range(restarts):
-        rng = np.random.default_rng(children[ridx])
-        s = _check_seeds(seeds) if seeds is not None else draw_seeds(X, k, rng)
-        order = rng.permutation(n) if shuffle else np.arange(n)
+    def run(s, rows):
         centers = s.copy()
         counts = np.ones(k, dtype=np.int64)
-        _run_stream(centers, counts, X[order] if shuffle else X)
-        evals += n * k
-        D = normalized_distances(X, centers)
-        evals += n * k
-        risk = float(D.min(axis=1).mean())
-        if best is None or risk < best[0]:
-            best = (risk, centers, counts, D.argmin(axis=1), ridx, s)
+        _run_stream(centers, counts, rows)
+        return centers, counts
 
-    risk, centers, counts, assignments, ridx, s = best
-    return FitReport(
-        algorithm="kmeans",
-        k=k,
-        d=d,
-        centers=centers,
-        risk=risk,
-        assignments=assignments,
-        restart=ridx,
-        restarts=restarts,
-        rng_seed=seed,
-        wall_time=time.perf_counter() - t0,
-        distance_evals=evals,
-        n_queries=n,
-        n_updates=n,
-        counts=counts,
-        seeds=s,
-    )
+    report, counts = _fit_restarts("kmeans", X, k, run, seeds=seeds, restarts=restarts,
+                                   seed=seed, shuffle=shuffle)
+    report.counts = counts
+    report.n_queries = report.n_updates = X.shape[0]
+    return report

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Dataset, FitReport, normalized_distances
-from .kmeans import _check_seeds, draw_seeds, kmeans_fit
+from .core import FitReport, as_sample, normalized_distances
+from .kmeans import _check_seeds, _fit_restarts, kmeans_fit
 
 __all__ = [
     "GainConfig",
@@ -221,17 +221,9 @@ def _consume_small(state: KMediansState, X) -> None:
 
 
 def _copy_state(state: KMediansState) -> KMediansState:
-    return KMediansState(
-        raw=state.raw.copy(),
-        averaged=state.averaged.copy(),
-        update_counts=state.update_counts.copy(),
-        current_steps=state.current_steps.copy(),
-        gain=state.gain,
-        bound_K=state.bound_K,
-        skips=state.skips,
-        n_seen=state.n_seen,
-        max_step=state.max_step,
-    )
+    return replace(state, raw=state.raw.copy(), averaged=state.averaged.copy(),
+                   update_counts=state.update_counts.copy(),
+                   current_steps=state.current_steps.copy())
 
 
 def kmedians_step(state: KMediansState, z) -> KMediansState:
@@ -239,11 +231,7 @@ def kmedians_step(state: KMediansState, z) -> KMediansState:
     z = np.asarray(z, dtype=float)
     if z.shape != (state.d,):
         raise ValueError("kmedians_step: dimension mismatch")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("kmedians_step: non-finite observation")
-    out = _copy_state(state)
-    _consume(out, z[None, :])
-    return out
+    return kmedians_stream(state, z[None, :])
 
 
 def kmedians_stream(state: KMediansState, X) -> KMediansState:
@@ -270,67 +258,29 @@ def kmedians_fit(
     bound_check: bool = False,
 ) -> FitReport:
     """One pass of averaged k-medians, best of `restarts` by the L1 risk of
-    the averaged centers."""
-    X = data.X if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < k:
-        raise ValueError(f"need at least k={k} observations, got n={n}")
+    the averaged centers. Explicit `seeds` (shape (k, d)) make a single run."""
+    X = as_sample(data, k)
     if gain is None:
         gain = GainConfig()
     gain.c_vector(k)
-    t0 = time.perf_counter()
-    ss = np.random.SeedSequence(seed)
-    if seeds is not None:
-        restarts = 1
-        children = [ss]
-    else:
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        children = ss.spawn(restarts)
-    bound_K = None
-    if bound_check:
-        bound_K = float(np.sqrt((X * X).mean(axis=1)).max())
+    bound_K = float(np.sqrt((X * X).mean(axis=1)).max()) if bound_check else None
 
-    evals = 0
-    best = None
-    for ridx in range(restarts):
-        rng = np.random.default_rng(children[ridx])
-        s = _check_seeds(seeds) if seeds is not None else draw_seeds(X, k, rng)
-        order = rng.permutation(n) if shuffle else None
+    def run(s, rows):
         st = kmedians_init(s, gain, bound_K=bound_K)
-        _consume(st, X[order] if order is not None else X)
-        evals += n * k
-        D = normalized_distances(X, st.averaged)
-        evals += n * k
-        risk = float(D.min(axis=1).mean())
-        if best is None or risk < best[0]:
-            best = (risk, st, D.argmin(axis=1), ridx, s)
+        _consume(st, rows)
+        return st.averaged, st
 
-    risk, st, assignments, ridx, s = best
-    return FitReport(
-        algorithm="kmedians",
-        k=k,
-        d=d,
-        centers=st.averaged,
-        risk=risk,
-        assignments=assignments,
-        restart=ridx,
-        restarts=restarts,
-        rng_seed=seed,
-        wall_time=time.perf_counter() - t0,
-        distance_evals=evals,
-        n_queries=st.n_seen,
-        n_updates=int(st.update_counts.sum()),
-        skips=st.skips,
-        seeds=s,
-        raw_centers=st.raw,
-        update_counts=st.update_counts,
-        c_gamma=gain.c_gamma,
-        c_alpha=gain.c_alpha,
-        alpha=gain.alpha,
-    )
+    report, st = _fit_restarts("kmedians", X, k, run, seeds=seeds, restarts=restarts,
+                               seed=seed, shuffle=shuffle)
+    report.n_queries = st.n_seen
+    report.n_updates = int(st.update_counts.sum())
+    report.skips = st.skips
+    report.raw_centers = st.raw
+    report.update_counts = st.update_counts
+    report.c_gamma = gain.c_gamma
+    report.c_alpha = gain.c_alpha
+    report.alpha = gain.alpha
+    return report
 
 
 def _derived_entropy(seed, tag: int):

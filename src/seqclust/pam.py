@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .core import Dataset, FitReport
+from .core import FitReport, as_sample
 
 __all__ = ["PamSizeError", "pam_fit"]
 
@@ -74,12 +74,8 @@ def pam_fit(
     exact_limit: int = 1000,
 ) -> FitReport:
     """Deterministic PAM fit. Centers in the report are the medoid rows."""
-    X = data.X if isinstance(data, Dataset) else np.asarray(data, dtype=float)
-    n, d = X.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < k:
-        raise ValueError(f"need at least k={k} observations, got n={n}")
+    X = as_sample(data, k)
+    n = X.shape[0]
     if n > max_n:
         raise PamSizeError(
             f"n={n} exceeds the PAM cap of {max_n}; PAM costs O(k n^2) per scan. "

@@ -25,7 +25,7 @@ def _tiny_sweep_spec(**overrides):
         generator="sim1",
         generator_params={"n": 60, "epsilon": 0.05},
         k=3,
-        algorithms=["kmeans", "kmedians", "pam", "tkmeans"],
+        algorithms=["kmeans", "kmedians", "pam"],
         restarts=2,
         replications=2,
         c_grid=[1.0, 2.0],
@@ -40,8 +40,9 @@ def test_validate_rejects_bad_specs():
         _tiny_sweep_spec(replications=0).validate()
     with pytest.raises(ValueError, match="c_grid"):
         _tiny_sweep_spec(c_grid=None).validate()
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        _tiny_sweep_spec(algorithms=["kmeans", "dbscan"]).validate()
+    for unknown in ("dbscan", "tkmeans"):
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            _tiny_sweep_spec(algorithms=["kmeans", unknown]).validate()
     with pytest.raises(ValueError, match="unknown experiment kind"):
         _tiny_sweep_spec(kind="speedup").validate()
     with pytest.raises(ValueError, match="unknown generator"):
@@ -59,15 +60,12 @@ def test_validate_rejects_bad_specs():
 
 def test_sweep_row_grid_and_statuses():
     table = run_sweep(_tiny_sweep_spec())
-    # per replication: kmeans 1 + kmedians len(c_grid) + pam 1 + tkmeans 1
-    assert len(table.rows) == 2 * (1 + 2 + 1 + 1)
+    # per replication: kmeans 1 + kmedians len(c_grid) + pam 1
+    assert len(table.rows) == 2 * (1 + 2 + 1)
     by_algo = {}
     for r in table.rows:
         by_algo.setdefault(r["algorithm"], []).append(r)
-    assert sorted(by_algo) == ["kmeans", "kmedians", "pam", "tkmeans"]
-    for r in by_algo["tkmeans"]:
-        assert r["status"] == "not implemented"
-        assert r["risk"] is None
+    assert sorted(by_algo) == ["kmeans", "kmedians", "pam"]
     for algo in ("kmeans", "kmedians", "pam"):
         for r in by_algo[algo]:
             assert r["status"] == "ok"

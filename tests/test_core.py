@@ -10,9 +10,11 @@ from seqclust import (
     Dataset,
     assign_nearest,
     kmeans_fit,
+    kmedians_fit,
     nearest_center,
     normalized_distances,
     normalized_norm,
+    pam_fit,
     read_csv,
     read_model,
     write_csv,
@@ -179,3 +181,35 @@ def test_model_rejects_foreign_json(tmp_path):
     path.write_text(json.dumps({"format": "something-else"}))
     with pytest.raises(ValueError):
         read_model(path)
+
+
+def _with_row(i, value):
+    X = np.arange(12.0).reshape(6, 2)
+    X[i, 1] = value
+    return X
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda data, k: kmeans_fit(data, k, restarts=1, seed=0),
+        lambda data, k: kmedians_fit(data, k, restarts=1, seed=0),
+        pam_fit,
+    ],
+    ids=["kmeans", "kmedians", "pam"],
+)
+@pytest.mark.parametrize(
+    "data, k, message",
+    [
+        (_with_row(3, np.nan), 2, r"row 3 contains non-finite"),
+        (_with_row(4, -np.inf), 2, r"row 4 contains non-finite"),
+        (np.arange(6.0), 2, r"2-d \(n, d\) array .* shape \(6,\)"),
+        (np.zeros((4, 3, 2)), 2, r"2-d \(n, d\) array .* shape \(4, 3, 2\)"),
+        (np.arange(12.0).reshape(6, 2), 0, r"k must be >= 1"),
+        (np.arange(6.0).reshape(3, 2), 5, r"need at least k=5 observations, got n=3"),
+    ],
+    ids=["nan-row", "inf-row", "1-d", "3-d", "k=0", "n<k"],
+)
+def test_fits_reject_bad_input_naming_the_problem(fit, data, k, message):
+    with pytest.raises(ValueError, match=message):
+        fit(data, k)

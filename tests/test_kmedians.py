@@ -1,6 +1,7 @@
 """Tests for the averaged stochastic-gradient k-medians."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -237,6 +238,23 @@ def test_snapshot_resume_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(done.averaged, full.centers)
     np.testing.assert_array_equal(done.update_counts, full.update_counts)
     assert done.skips == full.skips
+
+
+@pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit], ids=["kmeans", "kmedians"])
+@pytest.mark.parametrize(
+    "seed_rows",
+    [
+        lambda X: X[:3],                                # too many rows
+        lambda X: X[:2, :2],                            # too few columns
+        lambda X: np.hstack([X[:2], X[:2, :1] + 1.0]),  # too many columns
+    ],
+    ids=["rows", "narrow", "wide"],
+)
+def test_fit_rejects_explicit_seeds_of_wrong_shape(fit, seed_rows):
+    X = np.random.default_rng(33).standard_normal((20, 3))
+    seeds = seed_rows(X)
+    with pytest.raises(ValueError, match=re.escape(f"{seeds.shape}") + ".*" + re.escape("(2, 3)")):
+        fit(Dataset(X=X), 2, seeds=seeds)
 
 
 def test_data_driven_uses_kmeans_risk_as_gain():
