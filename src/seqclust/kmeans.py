@@ -25,7 +25,10 @@ class KMeansState:
 
 
 def _check_seeds(seeds) -> np.ndarray:
-    s = _check_centers(seeds)
+    s = np.asarray(seeds, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("seeds contain non-finite values")
+    s = _check_centers(s)
     k = s.shape[0]
     for a in range(k):
         for b in range(a + 1, k):
@@ -49,11 +52,15 @@ def _step_inplace(centers, counts, z) -> int:
 
 
 def _run_stream(centers, counts, X) -> None:
-    """Consume all rows of X in order. Low dimensions use a scalar loop; the
-    per-row numpy overhead dominates the arithmetic at small k*d, and the
-    operation order is identical (numpy sums of <= 8 elements are sequential)."""
+    """Consume all rows of X in order through a fit's single restart. Up to
+    d=7 a scalar loop runs; the per-row numpy overhead dominates the
+    arithmetic at small k*d, and numpy sums of <= 7 elements are sequential,
+    so the operation order is the numpy loop's. (At d=8 numpy pairs the
+    terms of a sum, so a scalar loop there could break a near-tie the other
+    way.) Fits with several restarts run _run_restarts instead, which
+    measured faster at every d."""
     k, d = centers.shape
-    if d > 8:
+    if d > 7:
         for z in X:
             _step_inplace(centers, counts, z)
         return
@@ -78,6 +85,28 @@ def _run_stream(centers, counts, X) -> None:
         cnt[r] += 1
     centers[:] = cent
     counts[:] = cnt
+
+
+def _run_restarts(centers, counts, X, perms) -> None:
+    """Consume all rows of X through R restarts at once, held as the (R, k, d)
+    block `centers` and (R, k) `counts`, in place. Restart i reads the rows in
+    the order of the i-th of the R row orders `perms` when it is given. Each
+    row costs a fixed number of numpy calls over the whole block, and every
+    restart's arithmetic is the one _step_inplace applies, so each restart
+    ends exactly where its own numpy stream would."""
+    R, k, d = centers.shape
+    flat = centers.reshape(R * k, d)
+    flat_counts = counts.reshape(R * k)
+    base = np.arange(R) * k
+    diff = np.empty_like(centers)
+    flat_diff = diff.reshape(R * k, d)
+    rows = X if perms is None else (X[cols][:, None, :] for cols in np.stack(list(perms)).T)
+    for z in rows:
+        np.subtract(centers, z, out=diff)
+        i = base + (diff * diff).sum(axis=2).argmin(axis=1)
+        n_i = flat_counts[i]
+        flat[i] -= flat_diff[i] / (1.0 + n_i)[:, None]
+        flat_counts[i] = n_i + 1
 
 
 def kmeans_step(state: KMeansState, z) -> KMeansState:
@@ -118,40 +147,45 @@ def draw_seeds(X, k, rng, attempts=16) -> np.ndarray:
     return s
 
 
-def _fit_restarts(algorithm, X, k, run, *, seeds, restarts, seed, shuffle):
+def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
     """Restart policy shared by the sequential fits.
 
     Each restart draws k distinct rows as seeds from its own substream of
-    SeedSequence(seed), streams the rows (in a seeded random order when
-    `shuffle`) through run(seeds, rows) -> (centers, state), and scores the
-    centers by empirical L1 risk. Explicit `seeds` make a single run on the
-    root stream. Returns the report of the lowest-risk restart with the
-    fields both fits share, and that restart's state.
+    SeedSequence(seed), then a random row order when `shuffle`; explicit
+    `seeds` make a single run on the root stream. All seeds are drawn up
+    front, and each row order only when run_all takes it from the iterator
+    `perms` (None without `shuffle`); as every restart has its own stream,
+    the draws do not depend on how the restarts are run. run_all(S, X, perms)
+    streams the rows through the (R, k, d) seed block S, restart i in the
+    i-th row order, with the kernel each fit finds fastest, and returns or
+    yields one (centers, state) per restart. Each restart's centers are
+    scored by empirical L1 risk. Returns the report of the lowest-risk
+    restart with the fields both fits share, and that restart's state.
     """
     t0 = time.perf_counter()
     n, d = X.shape
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     ss = np.random.SeedSequence(seed)
     if seeds is not None:
         seeds = _check_seeds(seeds)
         if seeds.shape != (k, d):
             raise ValueError(f"seeds have shape {seeds.shape}, the fit needs (k, d) = {(k, d)}")
-        children = [ss]
+        rngs = [np.random.default_rng(ss)]
+        S = seeds[None]
     else:
-        if restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        children = ss.spawn(restarts)
+        rngs = [np.random.default_rng(child) for child in ss.spawn(restarts)]
+        S = np.stack([draw_seeds(X, k, rng) for rng in rngs])
+    perms = (rng.permutation(n) for rng in rngs) if shuffle else None
 
     best = None
-    for ridx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        s = seeds if seeds is not None else draw_seeds(X, k, rng)
-        centers, state = run(s, X[rng.permutation(n)] if shuffle else X)
+    for ridx, (centers, state) in enumerate(run_all(S, X, perms)):
         D = normalized_distances(X, centers)
         risk = float(D.min(axis=1).mean())
         if best is None or risk < best[0]:
-            best = (risk, centers, state, D.argmin(axis=1), ridx, s)
+            best = (risk, centers, state, D.argmin(axis=1), ridx)
 
-    risk, centers, state, assignments, ridx, s = best
+    risk, centers, state, assignments, ridx = best
     report = FitReport(
         algorithm=algorithm,
         k=k,
@@ -160,11 +194,11 @@ def _fit_restarts(algorithm, X, k, run, *, seeds, restarts, seed, shuffle):
         risk=risk,
         assignments=assignments,
         restart=ridx,
-        restarts=len(children),
+        restarts=len(rngs),
         rng_seed=seed,
         wall_time=time.perf_counter() - t0,
-        distance_evals=2 * n * k * len(children),  # one stream + one scoring pass each
-        seeds=s,
+        distance_evals=2 * n * k * len(rngs),  # one stream + one scoring pass each
+        seeds=S[ridx],
     )
     return report, state
 
@@ -186,14 +220,17 @@ def kmeans_fit(
     """
     X = as_sample(data, k)
 
-    def run(s, rows):
-        centers = s.copy()
-        counts = np.ones(k, dtype=np.int64)
-        _run_stream(centers, counts, rows)
-        return centers, counts
+    def run_all(S, X, perms):
+        centers = S.copy()
+        counts = np.ones(S.shape[:2], dtype=np.int64)
+        if len(S) > 1:
+            _run_restarts(centers, counts, X, perms)
+        else:
+            _run_stream(centers[0], counts[0], X if perms is None else X[next(perms)])
+        return zip(centers, counts)
 
-    report, counts = _fit_restarts("kmeans", X, k, run, seeds=seeds, restarts=restarts,
-                                   seed=seed, shuffle=shuffle)
+    report, counts = _fit_restarts("kmeans", X, k, run_all, seeds=seeds,
+                                   restarts=restarts, seed=seed, shuffle=shuffle)
     report.counts = counts
     report.n_queries = report.n_updates = X.shape[0]
     return report

@@ -107,12 +107,21 @@ def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
     )
 
 
-def _consume(state: KMediansState, X) -> None:
-    """Feed rows of X through the recursion, mutating state in place.
+def _gain_powers(gain: GainConfig, us) -> np.ndarray:
+    """p[i] = (1 + c_alpha*us[i])**alpha, each taken with scalar pow like the
+    per-row loops: vectorised ** differs from it by 1 ulp on some entries."""
+    c_alpha, alpha = float(gain.c_alpha), float(gain.alpha)
+    return np.array([(1.0 + c_alpha * int(u)) ** alpha for u in us], dtype=float)
 
-    Low dimensions go through a scalar inner loop: at k*d this small the
-    per-observation numpy call overhead costs more than the arithmetic, and
-    the stream is the hot path of every 2-d benchmark.
+
+def _consume(state: KMediansState, X) -> None:
+    """Feed rows of X through the recursion of one state, mutating it in place.
+
+    This is the kernel of kmedians_stream, kmedians_step and of fits with a
+    single restart or d <= 8; fits with several restarts at d > 8 run
+    _consume_restarts. Low dimensions go through a scalar inner loop: at k*d
+    this small the per-observation numpy call overhead costs more than the
+    arithmetic, and the stream is the hot path of every 2-d benchmark.
     """
     if state.raw.shape[1] <= 8:
         _consume_small(state, np.asarray(X, dtype=float))
@@ -158,9 +167,10 @@ def _consume(state: KMediansState, X) -> None:
 
 
 def _consume_small(state: KMediansState, X) -> None:
-    """Scalar-arithmetic twin of the numpy loop for d <= 8. Operation order
-    matches the array version exactly (numpy sums of <= 8 elements are
-    sequential), so both paths apply the identical recursion."""
+    """Scalar-arithmetic twin of the numpy loop for d <= 8. Up to d=7 the
+    operation order matches the array version exactly (numpy sums of <= 7
+    elements are sequential), so both paths apply the identical recursion;
+    at d=8 numpy pairs the terms of a sum, which can differ by an ulp."""
     k, d = state.raw.shape
     raw = [list(map(float, row)) for row in state.raw]
     avg = [list(map(float, row)) for row in state.averaged]
@@ -220,6 +230,76 @@ def _consume_small(state: KMediansState, X) -> None:
     state.max_step = max_step
 
 
+def _consume_restarts(states, X, perms) -> None:
+    """Feed the rows of X through R restart states of one gain at once,
+    mutating them in place; restart i reads the rows in the i-th of the R
+    row orders `perms` when it is given.
+
+    The states are stacked into (R, k, d) blocks, so each row costs a fixed
+    number of numpy calls over the whole block instead of a loop per
+    restart. Skips are masked per restart. The gain comes from the table
+    c_r / p[u] of scalar powers (_gain_powers), and every other operation is
+    the one _consume applies element for element, so each state ends with
+    the same bits as its own _consume pass.
+    """
+    R = len(states)
+    k, d = states[0].raw.shape
+    gain, bound = states[0].gain, states[0].bound_K
+    raw = np.stack([st.raw for st in states])
+    avg = np.stack([st.averaged for st in states])
+    counts = np.stack([st.update_counts for st in states])
+    steps = np.stack([st.current_steps for st in states])
+    max_step = np.array([st.max_step for st in states])
+    skips = np.zeros(R, dtype=np.int64)
+    powers = _gain_powers(gain, range(int(counts.max()) + X.shape[0]))
+    cvec = np.tile(gain.c_vector(k), R)
+    flat_raw, flat_avg = raw.reshape(R * k, d), avg.reshape(R * k, d)
+    flat_counts, flat_steps = counts.reshape(R * k), steps.reshape(R * k)
+    base = np.arange(R) * k
+    diff = np.empty_like(raw)
+    flat_diff = diff.reshape(R * k, d)
+    rows = X if perms is None else (X[cols][:, None, :] for cols in np.stack(list(perms)).T)
+    for z in rows:
+        np.subtract(raw, z, out=diff)
+        sq = (diff * diff).sum(axis=2)
+        i = base + sq.argmin(axis=1)
+        nrm = np.sqrt(sq.reshape(R * k)[i] / d)
+        live = nrm != 0.0
+        if live.all():
+            ri = slice(None)
+        else:
+            skips += ~live
+            ri = np.flatnonzero(live)
+            i, nrm = i[ri], nrm[ri]
+        u = flat_counts[i]
+        a = cvec[i] / powers[u]
+        new = flat_raw[i] - (a / nrm)[:, None] * flat_diff[i]
+        flat_raw[i] = new
+        # running mean over {seed} + raw iterates after each update
+        flat_avg[i] = ((u + 1)[:, None] * flat_avg[i] + new) / (u + 2)[:, None]
+        flat_counts[i] = u + 1
+        flat_steps[i] = a
+        max_step[ri] = np.maximum(max_step[ri], a)
+        if bound is not None:
+            nr = np.sqrt((new * new).mean(axis=1))
+            over = nr > bound + 2.0 * max_step[ri] + _BOUND_SLACK
+            if over.any():
+                j = int(np.argmax(over))
+                rr, r = divmod(int(i[j]), k)
+                raise AssertionError(
+                    f"boundedness violated in restart {rr}: |raw[{r}]|={nr[j]:.9g} > "
+                    f"{bound:.9g} + 2*{max_step[rr]:.9g}"
+                )
+    for j, st in enumerate(states):
+        st.raw[:] = raw[j]
+        st.averaged[:] = avg[j]
+        st.update_counts[:] = counts[j]
+        st.current_steps[:] = steps[j]
+        st.skips += int(skips[j])
+        st.n_seen += X.shape[0]
+        st.max_step = float(max_step[j])
+
+
 def _copy_state(state: KMediansState) -> KMediansState:
     return replace(state, raw=state.raw.copy(), averaged=state.averaged.copy(),
                    update_counts=state.update_counts.copy(),
@@ -265,13 +345,18 @@ def kmedians_fit(
     gain.c_vector(k)
     bound_K = float(np.sqrt((X * X).mean(axis=1)).max()) if bound_check else None
 
-    def run(s, rows):
-        st = kmedians_init(s, gain, bound_K=bound_K)
-        _consume(st, rows)
-        return st.averaged, st
+    def run_all(S, X, perms):
+        states = [kmedians_init(s, gain, bound_K=bound_K) for s in S]
+        batched = X.shape[1] > 8 and len(states) > 1
+        if batched:
+            _consume_restarts(states, X, perms)
+        for st in states:
+            if not batched:
+                _consume(st, X if perms is None else X[next(perms)])
+            yield st.averaged, st
 
-    report, st = _fit_restarts("kmedians", X, k, run, seeds=seeds, restarts=restarts,
-                               seed=seed, shuffle=shuffle)
+    report, st = _fit_restarts("kmedians", X, k, run_all, seeds=seeds,
+                               restarts=restarts, seed=seed, shuffle=shuffle)
     report.n_queries = st.n_seen
     report.n_updates = int(st.update_counts.sum())
     report.skips = st.skips
@@ -375,7 +460,7 @@ def state_from_model(model: dict) -> KMediansState:
     cvec = gain.c_vector(k)
     steps = np.zeros(k)
     updated = counts > 0
-    steps[updated] = cvec[updated] / (1.0 + gain.c_alpha * (counts[updated] - 1)) ** gain.alpha
+    steps[updated] = cvec[updated] / _gain_powers(gain, counts[updated] - 1)
     max_step = float(cvec[updated].max()) if np.any(updated) else 0.0
     return KMediansState(
         raw=raw,

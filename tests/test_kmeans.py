@@ -103,6 +103,18 @@ def test_fit_single_restart_replays_recursion():
     assert math.isclose(report.risk, empirical_l1_risk(X, centers), rel_tol=1e-12)
 
 
+def test_fit_at_d8_breaks_near_ties_like_kmeans_step():
+    # numpy sums 8 squared differences in pairs, not left to right; on this
+    # coarse grid a left-to-right sum sends one row to the other center
+    X = np.round(np.random.default_rng(271).standard_normal((800, 8)) * 3) / 7.0
+    state = kmeans_init(X[:4])
+    for z in X:
+        state = kmeans_step(state, z)
+    report = kmeans_fit(Dataset(X=X), 4, seeds=X[:4])
+    assert report.centers.tobytes() == state.centers.tobytes()
+    assert report.counts.tobytes() == state.counts.tobytes()
+
+
 def test_fit_restart_selection_minimizes_risk():
     rng = np.random.default_rng(22)
     X = np.vstack([

@@ -10,14 +10,17 @@ from seqclust import (
     Dataset,
     GainConfig,
     Sim1Config,
+    draw_seeds,
     empirical_l1_risk,
     kmeans_fit,
+    kmeans_init,
     kmedians_fit,
     kmedians_fit_data_driven,
     kmedians_init,
     kmedians_step,
     kmedians_stream,
     mc_gradient,
+    normalized_distances,
     normalized_norm,
     read_model,
     sim1_sample,
@@ -238,6 +241,108 @@ def test_snapshot_resume_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(done.averaged, full.centers)
     np.testing.assert_array_equal(done.update_counts, full.update_counts)
     assert done.skips == full.skips
+
+
+def test_resumed_current_steps_match_live_stream(tmp_path):
+    # the live stream takes each gain with scalar pow; a vectorised ** of the
+    # update counts can land 1 ulp away (numpy 2.4's SIMD power does so for
+    # one cluster each at rng seeds 0 and 12)
+    gain = GainConfig(c_gamma=1.3)
+    for s in range(13):
+        X = np.random.default_rng(s).standard_normal((120, 20))
+        seeds = X[:5].copy()
+        live = kmedians_stream(kmedians_init(seeds, gain), X)
+        path = tmp_path / f"model{s}.json"
+        write_model(kmedians_fit(Dataset(X=X), 5, gain, seeds=seeds), path)
+        resumed = state_from_model(read_model(path))
+        assert resumed.current_steps.tobytes() == live.current_steps.tobytes(), s
+        assert resumed.max_step == live.max_step
+
+
+def _rebuild_fit(X, k, gain, *, restarts, seed, shuffle, bound_check):
+    """Both fits restart by restart from the public single-stream calls."""
+    n = X.shape[0]
+    bound_K = float(np.sqrt((X * X).mean(axis=1)).max()) if bound_check else None
+    best, skips = {}, 0
+    for ridx, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        rng = np.random.default_rng(child)
+        s = draw_seeds(X, k, rng)
+        rows = X[rng.permutation(n)] if shuffle else X
+        st = kmedians_stream(kmedians_init(s, gain, bound_K=bound_K), rows)
+        km = kmeans_fit(rows, k, seeds=s, restarts=1)
+        skips += st.skips
+        for name, centers, out in (("kmedians", st.averaged, st), ("kmeans", km.centers, km)):
+            risk = float(normalized_distances(X, centers).min(axis=1).mean())
+            if name not in best or risk < best[name][0]:
+                best[name] = (risk, ridx, out)
+    return best, skips
+
+
+@pytest.mark.parametrize("d", [2, 8, 12, 50])
+@pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
+@pytest.mark.parametrize(
+    "gain, bound_check",
+    [
+        (GainConfig(c_gamma=[0.5, 1.5, 3.0]), True),
+        (GainConfig(c_gamma=2.0, c_alpha=0.5, alpha=1.0), False),
+    ],
+    ids=["per-cluster-bounded", "alpha1"],
+)
+def test_fits_equal_their_restart_by_restart_rebuild(d, shuffle, gain, bound_check):
+    rng = np.random.default_rng(40 + d)
+    # half the rows repeat six points, so a seed often meets its own copy
+    # before its cluster moved and that step is skipped
+    X = np.vstack([rng.standard_normal((60, d)), rng.standard_normal((6, d))[rng.integers(0, 6, 60)]])
+    X = X[rng.permutation(len(X))] * 2.0
+    k, restarts, seed = 3, 5, [d, 7]
+    best, skips = _rebuild_fit(X, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
+                               bound_check=bound_check)
+    assert skips > 0
+
+    med = kmedians_fit(X, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
+                       bound_check=bound_check)
+    risk, ridx, st = best["kmedians"]
+    assert (med.restart, med.risk) == (ridx, risk)
+    assert med.centers.tobytes() == st.averaged.tobytes()
+    assert med.raw_centers.tobytes() == st.raw.tobytes()
+    assert med.update_counts.tobytes() == st.update_counts.tobytes()
+    assert med.skips == st.skips
+
+    km = kmeans_fit(X, k, restarts=restarts, seed=seed, shuffle=shuffle)
+    risk, ridx, one = best["kmeans"]
+    assert (km.restart, km.risk) == (ridx, risk)
+    assert km.centers.tobytes() == one.centers.tobytes()
+    assert km.counts.tobytes() == one.counts.tobytes()
+
+
+@pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit], ids=["kmeans", "kmedians"])
+def test_fits_reject_zero_restarts_even_with_seeds(fit):
+    X = np.random.default_rng(34).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        fit(Dataset(X=X), 2, restarts=0)
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        fit(Dataset(X=X), 2, seeds=X[:2], restarts=0)
+    # the default restarts=10 with explicit seeds is one run on those seeds
+    assert fit(Dataset(X=X), 2, seeds=X[:2]).restarts == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "start",
+    [
+        lambda X, s: kmeans_fit(Dataset(X=X), 2, seeds=s),
+        lambda X, s: kmedians_fit(Dataset(X=X), 2, seeds=s),
+        lambda X, s: kmeans_init(s),
+        lambda X, s: kmedians_init(s, GainConfig()),
+    ],
+    ids=["kmeans_fit", "kmedians_fit", "kmeans_init", "kmedians_init"],
+)
+def test_non_finite_seeds_are_named(start, bad):
+    X = np.random.default_rng(35).standard_normal((20, 3))
+    seeds = X[:2].copy()
+    seeds[1, 2] = bad
+    with pytest.raises(ValueError, match="seeds contain non-finite values"):
+        start(X, seeds)
 
 
 @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit], ids=["kmeans", "kmedians"])
