@@ -1,9 +1,9 @@
 """Benchmark harness: risk sweeps, contamination/CER studies, timing tables.
 
 An ExperimentSpec names a generator, an algorithm list and grid parameters;
-run_sweep / run_cer_experiment expand it into independent cells (replication
-x size x k x algorithm x gain constant). Every cell derives its RNG streams
-from the master seed and its own grid position, so results do not depend on
+run_experiment expands it into independent cells (replication x size x k x
+algorithm x gain constant). Every cell derives its RNG streams from the
+master seed and its own grid position, so results do not depend on
 execution order or worker count. A failed cell records an error status and
 the run continues.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -23,18 +24,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
-from .datagen import Sim1Config, Sim2Config, profiles_sample, sim1_sample, sim2_sample
+from .datagen import GENERATORS, generate
 from .kmeans import kmeans_fit
 from .kmedians import GainConfig, kmedians_fit, kmedians_fit_data_driven
 from .metrics import cer
 from .pam import pam_fit
 
-__all__ = ["ExperimentSpec", "ResultTable", "run_sweep", "run_cer_experiment",
-           "run_experiment", "preset", "load_spec_file", "PRESET_NAMES", "time_fit"]
+__all__ = ["ALGORITHMS", "OVERRIDES", "ExperimentSpec", "ResultTable", "fit",
+           "run_experiment", "preset", "load_spec_file", "load_experiment",
+           "PRESET_NAMES", "time_fit"]
 
-_GENERATORS = ("sim1", "sim2", "profiles")
-_ALGORITHMS = ("kmeans", "kmedians", "kmedians-auto", "pam")
+ALGORITHMS = ("kmeans", "kmedians", "kmedians-auto", "pam")
+# spec fields a preset or a spec file may have replaced when it is loaded
+OVERRIDES = ("seed", "replications", "restarts", "c_grid", "sizes", "ks", "measure_time")
 
 _COLUMNS = [
     "experiment", "kind", "replication", "n", "d", "k", "algorithm",
@@ -66,10 +68,10 @@ class ExperimentSpec:
     def validate(self) -> "ExperimentSpec":
         if self.kind not in ("sweep", "cer"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if self.generator not in _GENERATORS:
+        if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
         for a in self.algorithms:
-            if a not in _ALGORITHMS:
+            if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")
         if not self.algorithms:
             raise ValueError("empty algorithm list")
@@ -79,6 +81,11 @@ class ExperimentSpec:
             raise ValueError("restarts must be >= 1")
         if self.k < 1:
             raise ValueError("k must be >= 1")
+        for grid in ("sizes", "ks"):
+            bad = [v for v in getattr(self, grid) or ()
+                   if not isinstance(v, (int, np.integer)) or v < 1]
+            if bad:
+                raise ValueError(f"{grid} entries must be integers >= 1, got {bad[0]!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if "kmedians" in self.algorithms and not self.c_grid:
@@ -97,27 +104,17 @@ class ExperimentSpec:
         return self
 
 
-def _generate(spec: ExperimentSpec, n, entropy) -> Dataset:
-    params = dict(spec.generator_params)
-    if n is not None:
-        params["n"] = n
-    if spec.generator == "sim1":
-        return sim1_sample(Sim1Config(n=params["n"], epsilon=params.get("epsilon", 0.0),
-                                      seed=entropy))
-    if spec.generator == "sim2":
-        return sim2_sample(Sim2Config(n=params["n"], d=params["d"],
-                                      epsilon=params.get("epsilon", 0.0),
-                                      scale=params.get("scale", 1.0), seed=entropy))
-    return profiles_sample(n=params.get("n", 5422), d=params.get("d", 1440), seed=entropy)
-
-
-def _fit_cell(algorithm, data, k, c, restarts, entropy):
+def fit(algorithm, data, k, *, gain, restarts, seed, shuffle=False, bound_check=False):
+    """Fit one of ALGORITHMS. `gain` is the k-medians gain; `shuffle` and
+    `bound_check` go to the sequential fits that take them, PAM uses only k."""
     if algorithm == "kmeans":
-        return kmeans_fit(data, k, restarts=restarts, seed=entropy)
+        return kmeans_fit(data, k, restarts=restarts, seed=seed, shuffle=shuffle)
     if algorithm == "kmedians":
-        return kmedians_fit(data, k, GainConfig(c_gamma=c), restarts=restarts, seed=entropy)
+        return kmedians_fit(data, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
+                            bound_check=bound_check)
     if algorithm == "kmedians-auto":
-        return kmedians_fit_data_driven(data, k, restarts=restarts, seed=entropy)
+        return kmedians_fit_data_driven(data, k, restarts=restarts, seed=seed,
+                                        shuffle=shuffle, bound_check=bound_check)
     if algorithm == "pam":
         return pam_fit(data, k)
     raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -141,7 +138,10 @@ def _run_replication(spec: ExperimentSpec, rep: int):
     sizes = spec.sizes if spec.sizes else [None]
     ks = spec.ks if spec.ks else [spec.k]
     for si, nn in enumerate(sizes):
-        data = _generate(spec, nn, [spec.seed, 0, rep, si])
+        params = dict(spec.generator_params, seed=[spec.seed, 0, rep, si])
+        if nn is not None:
+            params["n"] = nn
+        data, _ = generate(spec.generator, params)
         for ki, kk in enumerate(ks):
             for ai, algo in enumerate(spec.algorithms):
                 cs = spec.c_grid if (algo == "kmedians" and spec.c_grid) else [None]
@@ -155,9 +155,11 @@ def _run_replication(spec: ExperimentSpec, rep: int):
                     }
                     entropy = [spec.seed, 1, rep, si, ki, ai, ci]
                     try:
-                        fit = lambda: _fit_cell(algo, data, kk, c, spec.restarts, entropy)
+                        gain = None if c is None else GainConfig(c_gamma=c)
+                        run = lambda: fit(algo, data, kk, gain=gain, restarts=spec.restarts,
+                                          seed=entropy)
                         if spec.measure_time:
-                            report, med, runs = time_fit(fit)
+                            report, med, runs = time_fit(run)
                             timings.append({
                                 "experiment": spec.name, "replication": rep,
                                 "n": data.n, "d": data.d, "k": kk, "algorithm": algo,
@@ -165,7 +167,7 @@ def _run_replication(spec: ExperimentSpec, rep: int):
                                 "wall_runs": ";".join(f"{t:.6f}" for t in runs),
                             })
                         else:
-                            report = fit()
+                            report = run()
                         row["risk"] = report.risk
                         row["chosen_restart"] = report.restart
                         row["distance_evals"] = report.distance_evals
@@ -190,8 +192,11 @@ class ResultTable:
     rows: list = field(default_factory=list)
     timings: list = field(default_factory=list)
 
+    def failed_cells(self) -> int:
+        return sum(1 for r in self.rows if r["status"] != "ok")
+
     def all_ok(self) -> bool:
-        return all(r["status"] == "ok" for r in self.rows)
+        return self.failed_cells() == 0
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -229,13 +234,12 @@ class ResultTable:
                     entry[f"{met}_q1"] = float(np.percentile(vals, 25))
                     entry[f"{met}_q3"] = float(np.percentile(vals, 75))
             out.append(entry)
-        n_bad = sum(1 for r in self.rows if r["status"] != "ok")
         return {
             "experiment": self.spec.name,
             "kind": self.spec.kind,
             "spec": asdict(self.spec),
             "cells": len(self.rows),
-            "failed_cells": n_bad,
+            "failed_cells": self.failed_cells(),
             "groups": out,
         }
 
@@ -266,7 +270,10 @@ def _fmt(v):
     return v
 
 
-def _run(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
+def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
+    """Run every cell of a sweep or CER spec, over `jobs` worker processes."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     spec.validate()
     table = ResultTable(spec=spec)
     if jobs > 1:
@@ -279,24 +286,6 @@ def _run(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         table.rows.extend(rows)
         table.timings.extend(timings)
     return table
-
-
-def run_sweep(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
-    """Risk sweep over the c grid (and optional size/k grids)."""
-    if spec.kind != "sweep":
-        raise ValueError("run_sweep expects a spec with kind='sweep'")
-    return _run(spec, jobs)
-
-
-def run_cer_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
-    """Fit each algorithm per replication and score CER against true labels."""
-    if spec.kind != "cer":
-        raise ValueError("run_cer_experiment expects a spec with kind='cer'")
-    return _run(spec, jobs)
-
-
-def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
-    return run_sweep(spec, jobs) if spec.kind == "sweep" else run_cer_experiment(spec, jobs)
 
 
 # Presets mirroring the simulation studies. Replication-heavy defaults can be
@@ -351,29 +340,48 @@ _PRESETS = {
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
+def _spec(fields: dict, overrides: dict, source) -> ExperimentSpec:
+    for key, val in overrides.items():
+        if val is None:
+            continue
+        if key not in OVERRIDES:
+            raise ValueError(f"preset override {key!r} not supported")
+        fields[key] = val
+    try:
+        spec = ExperimentSpec(**fields)
+    except TypeError as exc:
+        raise ValueError(f"{source}: bad spec fields ({exc})") from exc
+    return spec.validate()
+
+
 def preset(name: str, **overrides) -> ExperimentSpec:
     """Build a named preset spec, optionally overriding grid fields."""
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    base = dict(_PRESETS[name])
-    base["name"] = name
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in ("seed", "replications", "restarts", "c_grid", "sizes", "ks", "measure_time"):
-            raise ValueError(f"preset override {key!r} not supported")
-        base[key] = val
-    return ExperimentSpec(**base).validate()
+    return _spec(dict(_PRESETS[name], name=name), overrides, name)
 
 
-def load_spec_file(path) -> ExperimentSpec:
-    """Load an ExperimentSpec from a JSON file."""
+def _spec_file(path, overrides: dict) -> ExperimentSpec:
     with open(path, "r") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: spec file must hold a JSON object")
-    try:
-        spec = ExperimentSpec(**doc)
-    except TypeError as exc:
-        raise ValueError(f"{path}: bad spec fields ({exc})") from exc
-    return spec.validate()
+    return _spec(doc, overrides, path)
+
+
+def load_spec_file(path) -> ExperimentSpec:
+    """Load an ExperimentSpec from a JSON file."""
+    return _spec_file(path, {})
+
+
+def load_experiment(experiment: str, **overrides) -> ExperimentSpec:
+    """The preset named `experiment`, else the spec file at that path, with
+    the same overrides as `preset`; an override of None changes nothing."""
+    if experiment in _PRESETS:
+        return preset(experiment, **overrides)
+    if os.path.exists(experiment):
+        return _spec_file(experiment, overrides)
+    raise ValueError(
+        f"{experiment!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
+        "nor an existing spec file"
+    )

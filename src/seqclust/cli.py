@@ -8,28 +8,14 @@ full float precision so they can be compared across commands.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .bench import PRESET_NAMES, load_spec_file, preset, run_experiment
+from .bench import ALGORITHMS, OVERRIDES, PRESET_NAMES, fit, load_experiment, run_experiment
 from .core import assign_nearest, read_csv, read_model, write_model
-from .datagen import (
-    Sim1Config,
-    Sim2Config,
-    profiles_sample,
-    save_dataset,
-    sim1_sample,
-    sim2_sample,
-)
-from .kmeans import kmeans_fit
-from .kmedians import GainConfig, kmedians_fit, kmedians_fit_data_driven
+from .datagen import generate, save_dataset
+from .kmedians import GainConfig
 from .metrics import cer, empirical_l1_risk
-from .pam import pam_fit
-
-ALGORITHMS = ("kmeans", "kmedians", "kmedians-auto", "pam")
 
 
 def _int_list(text):
@@ -104,16 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if args.generator == "sim1":
-        cfg = Sim1Config(n=args.n, epsilon=args.epsilon, seed=args.seed)
-        ds = sim1_sample(cfg)
-    elif args.generator == "sim2":
-        cfg = Sim2Config(n=args.n, d=args.d, epsilon=args.epsilon,
-                         scale=args.scale, seed=args.seed)
-        ds = sim2_sample(cfg)
-    else:
-        cfg = {"n": args.n, "d": args.d, "seed": args.seed}
-        ds = profiles_sample(n=args.n, d=args.d, seed=args.seed)
+    ds, cfg = generate(args.generator, vars(args))
     sidecar = save_dataset(ds, args.output, args.generator, cfg)
     n_out = int(ds.outlier_flags.sum()) if ds.outlier_flags is not None else 0
     print(f"wrote {args.output} (n={ds.n}, d={ds.d}, outliers={n_out})")
@@ -123,23 +100,11 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_csv(args.data)
-    if args.algorithm == "kmeans":
-        report = kmeans_fit(data, args.k, restarts=args.restarts, seed=args.seed,
-                            shuffle=args.shuffle)
-    elif args.algorithm == "kmedians":
-        if args.c_gamma is None:
-            raise ValueError("fit kmedians needs --c-gamma (or use kmedians-auto)")
-        gain = GainConfig(c_gamma=args.c_gamma, c_alpha=args.c_alpha, alpha=args.alpha)
-        report = kmedians_fit(data, args.k, gain, restarts=args.restarts,
-                              seed=args.seed, shuffle=args.shuffle,
-                              bound_check=args.bound_check)
-    elif args.algorithm == "kmedians-auto":
-        report = kmedians_fit_data_driven(data, args.k, restarts=args.restarts,
-                                          seed=args.seed, shuffle=args.shuffle,
-                                          bound_check=args.bound_check)
-    else:
-        report = pam_fit(data, args.k)
-
+    if args.algorithm == "kmedians" and args.c_gamma is None:
+        raise ValueError("fit kmedians needs --c-gamma (or use kmedians-auto)")
+    gain = GainConfig(c_gamma=args.c_gamma, c_alpha=args.c_alpha, alpha=args.alpha)
+    report = fit(args.algorithm, data, args.k, gain=gain, restarts=args.restarts,
+                 seed=args.seed, shuffle=args.shuffle, bound_check=args.bound_check)
     print(f"algorithm={report.algorithm}")
     print(f"n={data.n}")
     print(f"d={data.d}")
@@ -186,26 +151,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.experiment in PRESET_NAMES:
-        spec = preset(args.experiment, seed=args.seed, replications=args.replications,
-                      restarts=args.restarts, c_grid=args.c_grid, sizes=args.sizes,
-                      ks=args.ks)
-    elif os.path.exists(args.experiment):
-        spec = load_spec_file(args.experiment)
-        for key in ("seed", "replications", "restarts", "c_grid", "sizes", "ks"):
-            val = getattr(args, key)
-            if val is not None:
-                setattr(spec, key, val)
-        spec.validate()
-    else:
-        raise ValueError(
-            f"{args.experiment!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
-            "nor an existing spec file"
-        )
+    spec = load_experiment(args.experiment,
+                           **{key: getattr(args, key, None) for key in OVERRIDES})
     table = run_experiment(spec, jobs=args.jobs)
     for path in table.write(args.outdir):
         print(f"wrote {path}")
-    bad = sum(1 for r in table.rows if r["status"] != "ok")
+    bad = table.failed_cells()
     if bad:
         print(f"{bad} cell(s) failed", file=sys.stderr)
         return 1
@@ -223,7 +174,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_bench(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

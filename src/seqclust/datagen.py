@@ -9,7 +9,7 @@ order), so a seed reproduces a dataset bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -19,6 +19,9 @@ from .core import Dataset, write_csv
 __all__ = [
     "Sim1Config",
     "Sim2Config",
+    "ProfilesConfig",
+    "GENERATORS",
+    "generate",
     "sim1_sample",
     "sim2_sample",
     "profiles_sample",
@@ -64,6 +67,13 @@ class Sim2Config:
     d: int
     epsilon: float = 0.0
     scale: float = 1.0
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class ProfilesConfig:
+    n: int = 5422
+    d: int = 1440
     seed: int = 0
 
 
@@ -152,6 +162,27 @@ def profiles_sample(n: int = 5422, d: int = 1440, seed: int = 0) -> Dataset:
         for s, ln in zip(starts, lengths):
             X[i, s : min(d, s + ln)] = 1.0
     return Dataset(X)
+
+
+# generator name -> (config class, sampler of a config)
+GENERATORS = {
+    "sim1": (Sim1Config, sim1_sample),
+    "sim2": (Sim2Config, sim2_sample),
+    "profiles": (ProfilesConfig, lambda cfg: profiles_sample(cfg.n, cfg.d, cfg.seed)),
+}
+
+
+def generate(generator: str, params: dict):
+    """Draw a dataset from the named generator; returns (dataset, config).
+
+    The config takes from `params` the fields it has (n, d, epsilon, scale,
+    seed) and its defaults for the optional ones left out; other keys are
+    ignored. The config is what `save_dataset` records in the sidecar.
+    """
+    config_cls, sample = GENERATORS[generator]
+    names = {f.name for f in fields(config_cls)}
+    config = config_cls(**{key: val for key, val in params.items() if key in names})
+    return sample(config), config
 
 
 def save_dataset(dataset: Dataset, csv_path, generator: str, config) -> str:

@@ -12,9 +12,7 @@ from seqclust.bench import (
     ExperimentSpec,
     load_spec_file,
     preset,
-    run_cer_experiment,
     run_experiment,
-    run_sweep,
 )
 
 
@@ -59,7 +57,7 @@ def test_validate_rejects_bad_specs():
 
 
 def test_sweep_row_grid_and_statuses():
-    table = run_sweep(_tiny_sweep_spec())
+    table = run_experiment(_tiny_sweep_spec())
     # per replication: kmeans 1 + kmedians len(c_grid) + pam 1
     assert len(table.rows) == 2 * (1 + 2 + 1)
     by_algo = {}
@@ -77,21 +75,21 @@ def test_sweep_row_grid_and_statuses():
 
 
 def test_sweep_is_deterministic_and_order_free(tmp_path):
-    t1 = run_sweep(_tiny_sweep_spec())
-    t2 = run_sweep(_tiny_sweep_spec())
+    t1 = run_experiment(_tiny_sweep_spec())
+    t2 = run_experiment(_tiny_sweep_spec())
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     t1.to_csv(p1)
     t2.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
     # worker count must not change any result
-    t3 = run_sweep(_tiny_sweep_spec(), jobs=2)
+    t3 = run_experiment(_tiny_sweep_spec(), jobs=2)
     p3 = tmp_path / "c.csv"
     t3.to_csv(p3)
     assert p3.read_bytes() == p1.read_bytes()
 
 
 def test_results_files_hold_no_wall_times(tmp_path):
-    table = run_sweep(_tiny_sweep_spec(algorithms=["kmeans"], replications=1))
+    table = run_experiment(_tiny_sweep_spec(algorithms=["kmeans"], replications=1))
     paths = table.write(tmp_path)
     assert [p.split("/")[-1] for p in paths] == [
         "tiny_results.csv", "tiny_summary.json"]
@@ -109,7 +107,7 @@ def test_results_files_hold_no_wall_times(tmp_path):
 def test_timing_spec_writes_separate_timings_csv(tmp_path):
     spec = _tiny_sweep_spec(name="tim", algorithms=["kmeans"], replications=1,
                             measure_time=True)
-    table = run_sweep(spec)
+    table = run_experiment(spec)
     assert len(table.timings) == 1
     rec = table.timings[0]
     assert rec["wall_median"] > 0
@@ -124,7 +122,7 @@ def test_timing_spec_writes_separate_timings_csv(tmp_path):
 def test_sizes_and_ks_grids_expand():
     spec = _tiny_sweep_spec(algorithms=["kmeans"], replications=1,
                             sizes=[30, 40], ks=[2, 3])
-    table = run_sweep(spec)
+    table = run_experiment(spec)
     assert len(table.rows) == 4
     seen = sorted((r["n"], r["k"]) for r in table.rows)
     assert seen == [(30, 2), (30, 3), (40, 2), (40, 3)]
@@ -134,7 +132,7 @@ def test_failing_cell_is_recorded_not_fatal():
     # n=4 < k=5 makes every fit raise; the run must still complete
     spec = _tiny_sweep_spec(algorithms=["kmeans"], replications=1, k=5,
                             generator_params={"n": 4, "epsilon": 0.0})
-    table = run_sweep(spec)
+    table = run_experiment(spec)
     assert len(table.rows) == 1
     assert table.rows[0]["status"].startswith("error:")
     assert not table.all_ok()
@@ -146,7 +144,7 @@ def test_cer_experiment_scores_against_labels():
         name="tinycer", kind="cer", generator="sim1",
         generator_params={"n": 80, "epsilon": 0.0}, k=3,
         algorithms=["kmeans", "pam"], restarts=3, replications=2, seed=9)
-    table = run_cer_experiment(spec)
+    table = run_experiment(spec)
     assert len(table.rows) == 4
     for r in table.rows:
         assert r["status"] == "ok"
@@ -159,11 +157,6 @@ def test_cer_experiment_scores_against_labels():
 
 
 def test_run_experiment_dispatches_on_kind():
-    with pytest.raises(ValueError, match="sweep"):
-        run_sweep(ExperimentSpec(
-            name="x", kind="cer", generator="sim1",
-            generator_params={"n": 30}, k=2, algorithms=["kmeans"],
-            restarts=1, replications=1))
     table = run_experiment(_tiny_sweep_spec(algorithms=["kmeans"],
                                             replications=1))
     assert table.rows[0]["kind"] == "sweep"
@@ -216,3 +209,17 @@ def test_perfectly_separated_clusters_reach_zero_cer():
     X = centers[labels] + 0.1 * rng.standard_normal((150, 2))
     report = kmeans_fit(X, 3, restarts=5, seed=21)
     assert cer(report.assignments, labels) == 0.0
+
+
+def test_validate_rejects_sizes_and_ks_below_one():
+    for grid, values in (("sizes", [250, 0]), ("ks", [0]), ("ks", [2, -3]),
+                         ("sizes", [250, "300"])):
+        with pytest.raises(ValueError,
+                           match=f"{grid} entries must be integers >= 1, got {values[-1]!r}"):
+            _tiny_sweep_spec(**{grid: values}).validate()
+
+
+def test_run_experiment_rejects_jobs_below_one():
+    for jobs in (0, -2):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            run_experiment(_tiny_sweep_spec(algorithms=["kmeans"], replications=1), jobs=jobs)

@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 
 import seqclust
-from seqclust import read_csv
+from seqclust import (GainConfig, Sim1Config, Sim2Config, kmeans_fit, kmedians_fit,
+                      kmedians_fit_data_driven, pam_fit, profiles_sample, read_csv,
+                      save_dataset, sim1_sample, sim2_sample, write_model)
+from seqclust.bench import ExperimentSpec, run_experiment
 from seqclust.cli import main
 
 
@@ -232,3 +235,102 @@ def test_console_script_smoke(tmp_path):
                        capture_output=True, text=True, env=env)
     assert r.returncode == 0, r.stderr
     assert "algorithm=pam" in r.stdout
+
+
+def test_fit_output_matches_library_fit(tmp_path):
+    data_path = _gen_sim1(tmp_path, n=150)
+    data = read_csv(data_path)
+    common = dict(restarts=3, seed=9, shuffle=True)
+    direct = {
+        "kmeans": kmeans_fit(data, 3, **common),
+        "kmedians": kmedians_fit(data, 3, GainConfig(c_gamma=1.5, c_alpha=2.0, alpha=0.9),
+                                 bound_check=True, **common),
+        "kmedians-auto": kmedians_fit_data_driven(data, 3, bound_check=True, **common),
+        "pam": pam_fit(data, 3),
+    }
+    for algorithm, report in direct.items():
+        got, want = tmp_path / f"{algorithm}.json", tmp_path / f"{algorithm}_ref.json"
+        rc = main(["fit", "--algorithm", algorithm, "--data", str(data_path), "--k", "3",
+                   "--restarts", "3", "--seed", "9", "--shuffle", "--bound-check",
+                   "--c-gamma", "1.5", "--c-alpha", "2.0", "--alpha", "0.9",
+                   "-o", str(got)])
+        assert rc == 0
+        write_model(report, want)
+        assert got.read_bytes() == want.read_bytes(), algorithm
+
+
+def test_generate_output_matches_library_sampler(tmp_path):
+    cases = [
+        (["sim1", "--n", "80", "--epsilon", "0.1", "--seed", "3"],
+         Sim1Config(n=80, epsilon=0.1, seed=3), sim1_sample),
+        (["sim2", "--n", "30", "--d", "9", "--epsilon", "0.2", "--scale", "3.0",
+          "--seed", "4"], Sim2Config(n=30, d=9, epsilon=0.2, scale=3.0, seed=4), sim2_sample),
+        (["profiles", "--n", "20", "--d", "25", "--seed", "5"],
+         {"n": 20, "d": 25, "seed": 5}, lambda cfg: profiles_sample(**cfg)),
+    ]
+    for argv, config, sample in cases:
+        name = argv[0]
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_ref.csv"
+        assert main(["generate", *argv, "-o", str(got)]) == 0
+        save_dataset(sample(config), want, name, config)
+        assert got.read_bytes() == want.read_bytes(), name
+        assert (tmp_path / f"{name}.json").read_bytes() == \
+            (tmp_path / f"{name}_ref.json").read_bytes(), name
+
+
+def test_bench_output_matches_run_experiment(tmp_path):
+    doc = dict(name="same", kind="sweep", generator="sim1",
+               generator_params={"n": 40, "epsilon": 0.05}, k=2,
+               algorithms=["kmeans", "kmedians", "pam"], restarts=2,
+               replications=2, c_grid=[2.0], seed=1)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    got, want = tmp_path / "cli", tmp_path / "lib"
+    assert main(["bench", str(spec_path), "--seed", "3", "--c-grid", "0.5,1",
+                 "-o", str(got)]) == 0
+    spec = ExperimentSpec(**dict(doc, seed=3, c_grid=[0.5, 1.0]))
+    names = [Path(p).name for p in run_experiment(spec).write(want)]
+    assert sorted(p.name for p in got.iterdir()) == sorted(names)
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_missing_or_unwritable_paths_are_errors(tmp_path, capsys):
+    data = _gen_sim1(tmp_path)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(
+        name="p", kind="sweep", generator="sim1", generator_params={"n": 30}, k=2,
+        algorithms=["kmeans"], restarts=1, replications=1)))
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    missing, nodir = tmp_path / "missing.csv", tmp_path / "nodir"
+    cases = [
+        (["fit", "--algorithm", "kmeans", "--data", str(missing), "--k", "3"], missing),
+        (["eval", "--model", str(nodir / "m.json"), "--data", str(data)], nodir / "m.json"),
+        (["generate", "sim1", "--n", "10", "-o", str(nodir / "x.csv")], nodir / "x.csv"),
+        (["fit", "--algorithm", "pam", "--data", str(data), "--k", "3",
+          "-o", str(nodir / "m.json")], nodir / "m.json"),
+        (["bench", str(tmp_path), "-o", str(tmp_path / "out")], tmp_path),
+        (["bench", str(spec_path), "-o", str(a_file / "out")], a_file / "out"),
+    ]
+    capsys.readouterr()
+    for argv, path in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err, (argv, err)
+
+
+def test_bench_rejects_grid_values_below_one_before_running(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(
+        name="g", kind="sweep", generator="sim1", generator_params={"n": 30}, k=2,
+        algorithms=["kmeans"], restarts=1, replications=1)))
+    outdir = tmp_path / "out"
+    for argv, value in ((["fig3", "--ks", "0"], "0"),
+                        (["fig3", "--replications", "1", "--sizes", "250,0"], "0"),
+                        ([str(spec_path), "--ks", "2,-1"], "-1"),
+                        ([str(spec_path), "--jobs", "0"], "0")):
+        assert main(["bench", *argv, "-o", str(outdir)]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.rstrip().endswith(f"got {value}"), err
+        assert not outdir.exists()
