@@ -75,12 +75,10 @@ class ExperimentSpec:
                 raise ValueError(f"unknown algorithm {a!r}")
         if not self.algorithms:
             raise ValueError("empty algorithm list")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        for name in ("replications", "restarts", "k"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         for grid in ("sizes", "ks"):
             bad = [v for v in getattr(self, grid) or ()
                    if not isinstance(v, (int, np.integer)) or v < 1]

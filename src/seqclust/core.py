@@ -49,25 +49,43 @@ def _check_centers(centers) -> np.ndarray:
     return c
 
 
+# Working-memory target of normalized_distances: rows of X are taken in blocks
+# whose (rows, k, d) difference buffer fills about this many bytes, which keeps
+# the buffer in cache at large d and makes small inputs a single block.
+_BLOCK_BYTES = 256 * 1024
+
+
 def normalized_distances(X, centers) -> np.ndarray:
     """Matrix of scaled distances between rows of X and each center, shape (n, k).
 
-    Loops over centers rather than broadcasting an (n, k, d) block so large
-    inputs (n ~ 5e3, d ~ 1.5e3) stay within a modest memory footprint.
+    Walks X in blocks of B rows, B sized so that one reused (B, k, d) buffer
+    holds about _BLOCK_BYTES (at least one row, so it holds k*d values when
+    those alone exceed the target): each block's differences to every center
+    are written into the buffer, squared in place and summed over the
+    contiguous d axis; the division by d and the square root are taken once
+    over the (n, k) result. Working memory is the buffer plus the result,
+    never an n×d temporary, and X is only read. Every entry is computed as
+    sqrt(((x - c)**2).mean()) computes it for a C-order row x, bit for bit,
+    whatever the memory layout of X.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be a 2-d array")
     C = _check_centers(centers)
-    if X.shape[1] != C.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: data has d={X.shape[1]}, centers have d={C.shape[1]}"
-        )
-    out = np.empty((X.shape[0], C.shape[0]))
-    for r in range(C.shape[0]):
-        diff = X - C[r]
-        out[:, r] = np.sqrt((diff * diff).mean(axis=1))
-    return out
+    (n, d), k = X.shape, C.shape[0]
+    if d != C.shape[1]:
+        raise ValueError(f"dimension mismatch: data has d={d}, centers have d={C.shape[1]}")
+    out = np.empty((n, k))
+    rows = max(1, _BLOCK_BYTES // (8 * k * d))
+    buf = np.empty((min(rows, n), k, d))
+    for i in range(0, n, rows):
+        block = X[i:i + rows, None, :]
+        diff = buf[:block.shape[0]]
+        np.subtract(block, C, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=2, out=out[i:i + rows])
+    out /= d
+    return np.sqrt(out, out=out)
 
 
 def nearest_center(z, centers) -> int:

@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .core import FitReport, as_sample
+from .core import FitReport, as_sample, normalized_distances
 
 __all__ = ["PamSizeError", "pam_fit"]
 
@@ -48,11 +48,7 @@ class _Dissim:
         self.evals = 0
         self.cached = self.n <= cache_limit
         if self.cached:
-            D = np.empty((self.n, self.n))
-            for i in range(self.n):
-                diff = X - X[i]
-                D[i] = np.sqrt((diff * diff).mean(axis=1))
-            self.D = D
+            self.D = normalized_distances(X, X)
             self.evals += self.n * (self.n - 1) // 2
         else:
             self.D = None

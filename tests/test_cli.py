@@ -334,3 +334,16 @@ def test_bench_rejects_grid_values_below_one_before_running(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.rstrip().endswith(f"got {value}"), err
         assert not outdir.exists()
+
+
+def test_bench_rejects_scalar_fields_of_the_wrong_type(tmp_path, capsys):
+    base = dict(name="t", kind="sweep", generator="sim1", generator_params={"n": 30}, k=2,
+                algorithms=["kmeans"], restarts=1, replications=1)
+    outdir = tmp_path / "out"
+    for field, value in (("k", "2"), ("replications", 1.5), ("restarts", None), ("k", 0)):
+        spec_path = tmp_path / f"{field}.json"
+        spec_path.write_text(json.dumps({**base, field: value}))
+        assert main(["bench", str(spec_path), "-o", str(outdir)]) == 1, (field, value)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be an integer >= 1, got {value!r}"), err
+        assert not outdir.exists()

@@ -9,6 +9,7 @@ import pytest
 from seqclust import (
     Dataset,
     assign_nearest,
+    empirical_l1_risk,
     kmeans_fit,
     kmedians_fit,
     nearest_center,
@@ -20,6 +21,8 @@ from seqclust import (
     write_csv,
     write_model,
 )
+from seqclust.core import _BLOCK_BYTES
+from seqclust.pam import _Dissim
 
 
 def test_normalized_norm_all_ones():
@@ -98,6 +101,60 @@ def test_normalized_distances_matches_brute_force():
     for i in range(17):
         for j in range(3):
             assert math.isclose(D[i, j], normalized_norm(X[i] - C[j]), rel_tol=1e-12)
+
+
+def _per_center_distances(X, C):
+    """normalized_distances as it was first written: one n×d difference per center."""
+    out = np.empty((X.shape[0], C.shape[0]))
+    for r in range(C.shape[0]):
+        diff = X - C[r]
+        out[:, r] = np.sqrt((diff * diff).mean(axis=1))
+    return out
+
+
+def _blocked_inputs(rng, n, d, k):
+    """(X, C) pairs in the layouts callers pass: C-order, a column-strided view,
+    Fortran order and a Dataset's rows, every X read-only; one center sits on
+    a row, so distance 0 occurs."""
+    scale = np.exp(rng.uniform(-3, 3, d))
+    wide = rng.standard_normal((n, 2 * d)) * np.repeat(scale, 2)
+    C = wide[rng.integers(0, n, k), ::2] + rng.standard_normal((k, d)) * scale
+    C[0] = wide[0, ::2]
+    plain = np.ascontiguousarray(wide[:, ::2])
+    xs = [plain, wide[:, ::2], np.asfortranarray(plain)]
+    for X in xs:
+        X.setflags(write=False)
+    return [(X, C) for X in xs] + [(Dataset(wide[:, ::2]).X, C)]
+
+
+@pytest.mark.filterwarnings("ignore:d=1 data")
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 200, 33_000])
+@pytest.mark.parametrize("k", [1, 3, 50])
+def test_normalized_distances_is_bit_exact_across_blocks(d, k):
+    rows = max(1, _BLOCK_BYTES // (8 * k * d))  # d=33000: one row exceeds the block
+    rng = np.random.default_rng([d, k])
+    for n in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows + 5}):
+        for X, C in _blocked_inputs(rng, n, d, k):
+            before = X.tobytes()
+            # the per-center formula sums a Fortran-order X's rows left to right
+            # (numpy adds pairwise only along a contiguous axis); the kernel
+            # sums every layout as the C-order rows are summed
+            ref = _per_center_distances(np.ascontiguousarray(X), C)
+            D = normalized_distances(X, C)
+            assert D.shape == (n, k) and D.tobytes() == ref.tobytes(), (n, X.flags)
+            assert assign_nearest(X, C).tobytes() == ref.argmin(axis=1).tobytes()
+            assert empirical_l1_risk(X, C) == float(ref.min(axis=1).mean())
+            assert X.tobytes() == before
+
+
+def test_pam_matrix_equals_per_row_distances():
+    rng = np.random.default_rng(5)
+    for n, d in ((300, 2), (60, 200), (40, 7)):
+        X = rng.standard_normal((n, d))
+        dis = _Dissim(X, cache_limit=n)
+        assert dis.D.tobytes() == np.stack([_per_center_distances(X, X[i:i + 1])[:, 0]
+                                             for i in range(n)]).tobytes()
+        assert dis.evals == n * (n - 1) // 2
 
 
 def test_assign_nearest_exactly_one_index():

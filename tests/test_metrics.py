@@ -93,6 +93,25 @@ def test_cer_matches_brute_force_oracle():
         assert cer(p, q) == _cer_brute(p, q)
 
 
+def test_cer_pair_counts_match_pair_loop_on_any_labels():
+    rng = np.random.default_rng(15)
+    kinds = {
+        "negative": lambda m: rng.integers(-4, 2, m),
+        "strided": lambda m: rng.integers(0, 3, 3 * m)[::3],
+        "float": lambda m: rng.integers(-2, 3, m) * 0.5,
+        "singletons": lambda m: rng.permutation(m),
+    }
+    for name, labels in kinds.items():
+        for m in [2, 2, 3, 7, 40, 120]:
+            p, q = labels(m), labels(m)
+            assert cer(p, q) == _cer_brute(p, q), (name, m)
+            flags = rng.random(m) < 0.3
+            if (~flags).sum() >= 2:
+                assert cer(p, q, flags) == _cer_brute(p[~flags], q[~flags]), (name, m)
+    with pytest.raises(ValueError, match="NaN"):
+        cer([0.0, np.nan, np.nan], [0, 1, 1])
+
+
 def test_cer_outlier_exclusion():
     p = np.array([0, 0, 1, 2])
     q = np.array([0, 1, 1, 2])
