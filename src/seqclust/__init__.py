@@ -21,7 +21,7 @@ from .core import (
     write_model,
 )
 from .metrics import cer, empirical_l1_risk
-from .kmeans import KMeansState, draw_seeds, kmeans_fit, kmeans_init, kmeans_step
+from .kmeans import KMeansState, kmeans_fit, kmeans_init, kmeans_step
 from .kmedians import (
     GainConfig,
     KMediansState,
@@ -34,6 +34,7 @@ from .kmedians import (
     state_from_model,
 )
 from .pam import PamSizeError, pam_fit
+from .recursion import draw_seeds
 from .datagen import (
     Sim1Config,
     Sim2Config,

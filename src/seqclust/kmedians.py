@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import FitReport, as_sample, normalized_distances
-from .kmeans import _check_seeds, _fit_restarts, kmeans_fit
+from .kmeans import kmeans_fit
+from .recursion import _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
 
 __all__ = [
     "GainConfig",
@@ -38,6 +39,11 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
+
+
+def _unbounded(r, nr, bound, max_step, where="") -> AssertionError:
+    return AssertionError(f"boundedness violated{where}: |raw[{r}]|={nr:.9g} > "
+                          f"{bound:.9g} + 2*{max_step:.9g}")
 
 
 @dataclass(frozen=True)
@@ -115,14 +121,11 @@ def _gain_powers(gain: GainConfig, us) -> np.ndarray:
 
 
 def _consume(state: KMediansState, X) -> None:
-    """Feed rows of X through the recursion of one state, mutating it in place.
-
-    This is the kernel of kmedians_stream, kmedians_step and of fits with a
-    single restart or d <= 8; fits with several restarts at d > 8 run
-    _consume_restarts. Low dimensions go through a scalar inner loop: at k*d
-    this small the per-observation numpy call overhead costs more than the
-    arithmetic, and the stream is the hot path of every 2-d benchmark.
-    """
+    """Feed rows of X through the recursion of one state, mutating it in
+    place: the kernel of kmedians_stream, kmedians_step and of fits with a
+    single restart or d <= 8 (several restarts at d > 8 run
+    _consume_restarts). Up to d=8 the scalar loop runs, the hot path of
+    every 2-d benchmark."""
     if state.raw.shape[1] <= 8:
         _consume_small(state, np.asarray(X, dtype=float))
         return
@@ -137,17 +140,14 @@ def _consume(state: KMediansState, X) -> None:
     d = raw.shape[1]
     skips = 0
     max_step = state.max_step
-    for z in X:
-        diff = raw - z
-        sq = (diff * diff).sum(axis=1)
-        r = int(np.argmin(sq))
-        nrm = np.sqrt(sq[r] / d)
+    for _, r, sq, diff in _numpy_walk(raw, X):
+        nrm = np.sqrt(sq / d)
         if nrm == 0.0:
             skips += 1
             continue
         u = counts[r]
         a = cvec[r] / (1.0 + c_alpha * u) ** alpha
-        raw[r] -= (a / nrm) * diff[r]
+        raw[r] -= (a / nrm) * diff
         # running mean over {seed} + raw iterates after each update
         avg[r] = ((u + 1) * avg[r] + raw[r]) / (u + 2)
         counts[r] = u + 1
@@ -157,20 +157,14 @@ def _consume(state: KMediansState, X) -> None:
         if bound is not None:
             nr = np.sqrt((raw[r] * raw[r]).mean())
             if nr > bound + 2.0 * max_step + _BOUND_SLACK:
-                raise AssertionError(
-                    f"boundedness violated: |raw[{r}]|={nr:.9g} > "
-                    f"{bound:.9g} + 2*{max_step:.9g}"
-                )
+                raise _unbounded(r, nr, bound, max_step)
     state.skips += skips
     state.n_seen += X.shape[0]
     state.max_step = max_step
 
 
 def _consume_small(state: KMediansState, X) -> None:
-    """Scalar-arithmetic twin of the numpy loop for d <= 8. Up to d=7 the
-    operation order matches the array version exactly (numpy sums of <= 7
-    elements are sequential), so both paths apply the identical recursion;
-    at d=8 numpy pairs the terms of a sum, which can differ by an ulp."""
+    """Scalar twin of the numpy loop for d <= 8, with the same bits up to d=7."""
     k, d = state.raw.shape
     raw = [list(map(float, row)) for row in state.raw]
     avg = [list(map(float, row)) for row in state.averaged]
@@ -182,18 +176,7 @@ def _consume_small(state: KMediansState, X) -> None:
     bound = state.bound_K
     skips = 0
     max_step = state.max_step
-    for z in X.tolist():
-        best_sq = math.inf
-        r = 0
-        for i in range(k):
-            row = raw[i]
-            s = 0.0
-            for j in range(d):
-                t = row[j] - z[j]
-                s += t * t
-            if s < best_sq:
-                best_sq = s
-                r = i
+    for z, r, best_sq in _scalar_walk(raw, X):
         nrm = math.sqrt(best_sq / d)
         if nrm == 0.0:
             skips += 1
@@ -217,10 +200,7 @@ def _consume_small(state: KMediansState, X) -> None:
                 s += row[j] * row[j]
             nr = math.sqrt(s / d)
             if nr > bound + 2.0 * max_step + _BOUND_SLACK:
-                raise AssertionError(
-                    f"boundedness violated: |raw[{r}]|={nr:.9g} > "
-                    f"{bound:.9g} + 2*{max_step:.9g}"
-                )
+                raise _unbounded(r, nr, bound, max_step)
     state.raw[:] = raw
     state.averaged[:] = avg
     state.update_counts[:] = counts
@@ -232,16 +212,12 @@ def _consume_small(state: KMediansState, X) -> None:
 
 def _consume_restarts(states, X, perms) -> None:
     """Feed the rows of X through R restart states of one gain at once,
-    mutating them in place; restart i reads the rows in the i-th of the R
-    row orders `perms` when it is given.
-
-    The states are stacked into (R, k, d) blocks, so each row costs a fixed
-    number of numpy calls over the whole block instead of a loop per
-    restart. Skips are masked per restart. The gain comes from the table
-    c_r / p[u] of scalar powers (_gain_powers), and every other operation is
-    the one _consume applies element for element, so each state ends with
-    the same bits as its own _consume pass.
-    """
+    stacked into (R, k, d) blocks, mutating them in place; restart i reads
+    the rows in the i-th of the R row orders `perms` when it is given. Skips
+    are masked per restart. The gain comes from the table c_r / p[u] of
+    scalar powers (_gain_powers), and every other operation is the one
+    _consume applies element for element, so each state ends with the same
+    bits as its own _consume pass."""
     R = len(states)
     k, d = states[0].raw.shape
     gain, bound = states[0].gain, states[0].bound_K
@@ -255,25 +231,18 @@ def _consume_restarts(states, X, perms) -> None:
     cvec = np.tile(gain.c_vector(k), R)
     flat_raw, flat_avg = raw.reshape(R * k, d), avg.reshape(R * k, d)
     flat_counts, flat_steps = counts.reshape(R * k), steps.reshape(R * k)
-    base = np.arange(R) * k
-    diff = np.empty_like(raw)
-    flat_diff = diff.reshape(R * k, d)
-    rows = X if perms is None else (X[cols][:, None, :] for cols in np.stack(list(perms)).T)
-    for z in rows:
-        np.subtract(raw, z, out=diff)
-        sq = (diff * diff).sum(axis=2)
-        i = base + sq.argmin(axis=1)
-        nrm = np.sqrt(sq.reshape(R * k)[i] / d)
+    for _, i, sq, diff in _batched_walk(raw, X, perms):
+        nrm = np.sqrt(sq[i] / d)
         live = nrm != 0.0
         if live.all():
             ri = slice(None)
         else:
             skips += ~live
             ri = np.flatnonzero(live)
-            i, nrm = i[ri], nrm[ri]
+            i, nrm, diff = i[ri], nrm[ri], diff[ri]
         u = flat_counts[i]
         a = cvec[i] / powers[u]
-        new = flat_raw[i] - (a / nrm)[:, None] * flat_diff[i]
+        new = flat_raw[i] - (a / nrm)[:, None] * diff
         flat_raw[i] = new
         # running mean over {seed} + raw iterates after each update
         flat_avg[i] = ((u + 1)[:, None] * flat_avg[i] + new) / (u + 2)[:, None]
@@ -286,10 +255,7 @@ def _consume_restarts(states, X, perms) -> None:
             if over.any():
                 j = int(np.argmax(over))
                 rr, r = divmod(int(i[j]), k)
-                raise AssertionError(
-                    f"boundedness violated in restart {rr}: |raw[{r}]|={nr[j]:.9g} > "
-                    f"{bound:.9g} + 2*{max_step[rr]:.9g}"
-                )
+                raise _unbounded(r, nr[j], bound, max_step[rr], f" in restart {rr}")
     for j, st in enumerate(states):
         st.raw[:] = raw[j]
         st.averaged[:] = avg[j]

@@ -56,9 +56,8 @@ class _Dissim:
     def row(self, i) -> np.ndarray:
         if self.cached:
             return self.D[i]
-        diff = self.X - self.X[i]
         self.evals += self.n
-        return np.sqrt((diff * diff).mean(axis=1))
+        return normalized_distances(self.X, self.X[i:i + 1])[:, 0]
 
 
 def pam_fit(

@@ -1,0 +1,167 @@
+"""What the sequential fits share: seeds, the restart policy and the row walks.
+
+MacQueen k-means and averaged k-medians walk the rows alike: in a fixed
+order, each row to its nearest center (ties to the lowest index), which
+alone is updated. A walk owns the row order, the search and the gather of
+the chosen rows, one walk per loop shape, each the fastest on some inputs;
+each fit keeps only its update loop, `for ... in walk(...)`.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+
+import numpy as np
+
+from .core import FitReport, _check_centers, normalized_distances
+
+__all__ = ["draw_seeds"]
+
+
+def _check_seeds(seeds) -> np.ndarray:
+    s = np.asarray(seeds, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("seeds contain non-finite values")
+    s = _check_centers(s)
+    k = s.shape[0]
+    for a in range(k):
+        for b in range(a + 1, k):
+            if np.array_equal(s[a], s[b]):
+                raise ValueError(f"seeds {a} and {b} coincide; seeds must be pairwise distinct")
+    return s.copy()
+
+
+def draw_seeds(X, k, rng, attempts=16) -> np.ndarray:
+    """Draw k pairwise distinct rows uniformly without replacement.
+
+    Datasets with duplicated rows may defeat the draw; after a bounded number
+    of attempts the duplicates get an epsilon-scale jitter instead.
+    """
+    n = X.shape[0]
+    idx = None
+    for _ in range(attempts):
+        idx = rng.choice(n, size=k, replace=False)
+        s = X[idx]
+        if len({row.tobytes() for row in s}) == k:
+            return s.copy()
+    s = X[idx].astype(float).copy()
+    scale = max(1.0, float(np.abs(s).max())) * np.finfo(float).eps * 8
+    while len({row.tobytes() for row in s}) < k:
+        seen = set()
+        for i in range(k):
+            key = s[i].tobytes()
+            if key in seen:
+                s[i] = s[i] + rng.standard_normal(s.shape[1]) * scale
+            seen.add(key)
+    return s
+
+
+def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
+    """Restart policy shared by the sequential fits.
+
+    Each restart draws k distinct rows as seeds from its own substream of
+    SeedSequence(seed), then a random row order when `shuffle`; explicit
+    `seeds` make a single run on the root stream. All seeds are drawn up
+    front, and each row order only when run_all takes it from the iterator
+    `perms` (None without `shuffle`); as every restart has its own stream,
+    the draws do not depend on how the restarts are run. run_all(S, X, perms)
+    streams the rows through the (R, k, d) seed block S, restart i in the
+    i-th row order, with the kernel each fit finds fastest, and returns or
+    yields one (centers, state) per restart. Each restart's centers are
+    scored by empirical L1 risk. Returns the report of the lowest-risk
+    restart with the fields both fits share, and that restart's state.
+    """
+    t0 = time.perf_counter()
+    n, d = X.shape
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    ss = np.random.SeedSequence(seed)
+    if seeds is not None:
+        seeds = _check_seeds(seeds)
+        if seeds.shape != (k, d):
+            raise ValueError(f"seeds have shape {seeds.shape}, the fit needs (k, d) = {(k, d)}")
+        rngs = [np.random.default_rng(ss)]
+        S = seeds[None]
+    else:
+        rngs = [np.random.default_rng(child) for child in ss.spawn(restarts)]
+        S = np.stack([draw_seeds(X, k, rng) for rng in rngs])
+    perms = (rng.permutation(n) for rng in rngs) if shuffle else None
+
+    best = None
+    for ridx, (centers, state) in enumerate(run_all(S, X, perms)):
+        D = normalized_distances(X, centers)
+        risk = float(D.min(axis=1).mean())
+        if best is None or risk < best[0]:
+            best = (risk, centers, state, D.argmin(axis=1), ridx)
+
+    risk, centers, state, assignments, ridx = best
+    report = FitReport(
+        algorithm=algorithm,
+        k=k,
+        d=d,
+        centers=centers,
+        risk=risk,
+        assignments=assignments,
+        restart=ridx,
+        restarts=len(rngs),
+        rng_seed=seed,
+        wall_time=time.perf_counter() - t0,
+        distance_evals=2 * n * k * len(rngs),  # one stream + one scoring pass each
+        seeds=S[ridx],
+    )
+    return report, state
+
+
+def _scalar_walk(centers, X):
+    """Yield (z, r, sq) per row of the float array X, in order: the row as a
+    list, its nearest center's index and their squared distance. The caller
+    updates `centers`, a list of k lists, in place, so the next row sees the
+    update. Fastest at small k*d, where numpy's per-call overhead outweighs
+    the arithmetic. Sums run left to right: numpy's order up to 7 terms."""
+    ks = range(len(centers))
+    ds = range(X.shape[1])  # built once: a range per row and center cost ~20% at d=2
+    for z in X.tolist():
+        best_sq = math.inf
+        r = 0
+        for i in ks:
+            row = centers[i]
+            s = 0.0
+            for j in ds:
+                t = row[j] - z[j]
+                s += t * t
+            if s < best_sq:
+                best_sq = s
+                r = i
+        yield z, r, best_sq
+
+
+def _numpy_walk(centers, X):
+    """Yield (z, r, sq, diff) per row z of X, in order: its nearest center's
+    index, their squared distance and diff = centers[r] - z. The caller
+    updates the (k, d) array `centers` in place, so the next row sees it."""
+    for z in X:
+        diff = centers - z
+        sq = (diff * diff).sum(axis=1)
+        r = int(np.argmin(sq))
+        yield z, r, sq[r], diff[r]
+
+
+def _batched_walk(centers, X, perms):
+    """Walk the rows of X through R restarts at once, with a fixed number of
+    numpy calls per row. The caller updates the contiguous (R, k, d) block
+    `centers` in place, through its (R*k, d) view, so the next row sees it.
+    Restart i reads the rows in the i-th of the R row orders `perms` if given.
+    Yields (z, i, sq, diff): i the (R,) flat indices of each restart's nearest
+    center, sq all R*k squared distances (k-means needs none, so no gather)
+    and diff the rows i of centers - z, each as _numpy_walk computes it."""
+    R, k, d = centers.shape
+    base = np.arange(R) * k
+    diff = np.empty_like(centers)
+    flat_diff = diff.reshape(R * k, d)
+    rows = X if perms is None else (X[cols][:, None, :] for cols in np.stack(list(perms)).T)
+    for z in rows:
+        np.subtract(centers, z, out=diff)
+        sq = (diff * diff).sum(axis=2)
+        i = base + sq.argmin(axis=1)
+        yield z, i, sq.reshape(R * k), flat_diff[i]

@@ -87,11 +87,14 @@ def test_barycenter_identity_along_stream():
     assert state.counts.sum() == 2 + 60
 
 
-def test_fit_single_restart_replays_recursion():
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 50])
+def test_fit_single_restart_replays_recursion(d):
+    # up to d=7 the fit runs a scalar loop, whose left-to-right sums are
+    # numpy's order only for up to 7 terms; from d=8 on it runs numpy's
     rng = np.random.default_rng(21)
-    X = rng.standard_normal((50, 2))
+    X = rng.standard_normal((50, d))
     seeds = X[:3].copy()
-    report = kmeans_fit(Dataset(X=X), 3, seeds=seeds)
+    report = kmeans_fit(X, 3, seeds=seeds)
     centers = seeds.copy()
     counts = np.ones(3)
     for z in X:
@@ -99,7 +102,8 @@ def test_fit_single_restart_replays_recursion():
         r = int(np.argmin((diff * diff).sum(axis=1)))
         centers[r] -= diff[r] / (1.0 + counts[r])
         counts[r] += 1
-    np.testing.assert_array_equal(report.centers, centers)
+    assert report.centers.tobytes() == centers.tobytes()
+    np.testing.assert_array_equal(report.counts, counts)
     assert math.isclose(report.risk, empirical_l1_risk(X, centers), rel_tol=1e-12)
 
 

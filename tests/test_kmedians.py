@@ -182,6 +182,40 @@ def test_stream_matches_stepwise():
     np.testing.assert_array_equal(streamed.update_counts, stepped.update_counts)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 9, 50])
+def test_fit_and_stream_replay_the_numpy_recursion(d):
+    # up to d=8 the fit and the stream run a scalar loop, whose left-to-right
+    # sums are numpy's order only for up to 7 terms; at d=8 they are not, by
+    # design, so d=8 is left out. The seeds are data rows, so skips occur.
+    rng = np.random.default_rng(31)
+    X = rng.standard_normal((60, d))
+    seeds = X[:3].copy()
+    gain = GainConfig(c_gamma=[0.5, 1.0, 2.0], c_alpha=0.7, alpha=0.75)
+    cvec = np.array([0.5, 1.0, 2.0])
+    raw, avg = seeds.copy(), seeds.copy()
+    counts = np.zeros(3, dtype=np.int64)
+    for z in X:
+        diff = raw - z
+        sq = (diff * diff).sum(axis=1)
+        r = int(np.argmin(sq))
+        nrm = np.sqrt(sq[r] / d)
+        if nrm == 0.0:
+            continue
+        u = counts[r]
+        a = cvec[r] / (1.0 + 0.7 * u) ** 0.75
+        raw[r] -= (a / nrm) * diff[r]
+        avg[r] = ((u + 1) * avg[r] + raw[r]) / (u + 2)
+        counts[r] = u + 1
+    report = kmedians_fit(X, 3, gain, seeds=seeds)
+    state = kmedians_stream(kmedians_init(seeds, gain), X)
+    assert report.skips == state.skips == 3
+    for got_avg, got_raw, got_counts in ((report.centers, report.raw_centers, report.update_counts),
+                                         (state.averaged, state.raw, state.update_counts)):
+        assert got_avg.tobytes() == avg.tobytes()
+        assert got_raw.tobytes() == raw.tobytes()
+        np.testing.assert_array_equal(got_counts, counts)
+
+
 def test_fit_reports_averaged_centers_and_counters():
     rng = np.random.default_rng(34)
     X = rng.standard_normal((120, 2))

@@ -46,6 +46,30 @@ def test_matches_exhaustive_oracle_on_small_instances():
         )
 
 
+def test_build_swap_ends_at_a_swap_local_optimum():
+    # exact_limit=0 forces BUILD+SWAP even where enumeration would run, so the
+    # local search itself is checked: no single medoid/non-medoid exchange may
+    # lower the cost of the medoids it returns
+    rng = np.random.default_rng(47)
+    misses = small = 0
+    for trial in range(120):
+        n = int(rng.integers(8, 41))
+        k = int(rng.integers(2, 5))
+        X = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
+        report = pam_fit(Dataset(X=X), k, exact_limit=0)
+        D = normalized_distances(X, X)
+        medoids = report.medoid_indices.tolist()
+        for mi in range(k):
+            for o in set(range(n)) - set(medoids):
+                swapped = medoids[:mi] + [o] + medoids[mi + 1:]
+                cost = float(D[:, swapped].min(axis=1).mean())
+                assert cost >= report.risk, f"trial {trial}: swapping {medoids[mi]} for {o} lowers the cost"
+        if n <= 12:
+            small += 1
+            misses += report.risk > _oracle_cost(X, k)
+    print(f"BUILD+SWAP missed the exhaustive optimum on {misses} of {small} instances with n <= 12")
+
+
 def test_k1_medoid_minimizes_row_sums():
     rng = np.random.default_rng(41)
     X = rng.standard_normal((60, 3))
@@ -97,3 +121,10 @@ def test_uncached_path_same_answer_more_evals():
     np.testing.assert_array_equal(cached.medoid_indices, uncached.medoid_indices)
     assert cached.risk == uncached.risk
     assert uncached.distance_evals > cached.distance_evals
+    # on a plain Fortran-order array too: a row recomputed on demand must add
+    # its 8 squared differences in the order the cached matrix does
+    for trial in range(20):
+        X = np.asfortranarray(np.random.default_rng(trial).standard_normal((60, 8)))
+        cached, uncached = pam_fit(X, 3), pam_fit(X, 3, cache_limit=0)
+        np.testing.assert_array_equal(cached.medoid_indices, uncached.medoid_indices)
+        assert cached.risk == uncached.risk, f"trial {trial}"
