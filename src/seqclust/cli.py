@@ -127,8 +127,6 @@ def cmd_eval(args) -> int:
     model = read_model(args.model)
     data = read_csv(args.data)
     centers = model["centers"]
-    if centers is None:
-        raise ValueError(f"{args.model}: model has no centers")
     risk = empirical_l1_risk(data, centers)
     print(f"algorithm={model['algorithm']}")
     print(f"risk={risk!r}")

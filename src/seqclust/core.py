@@ -309,8 +309,10 @@ def write_model(report: FitReport, path) -> None:
 def read_model(path) -> dict:
     with open(path, "r") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "seqclust-model":
+    if not isinstance(doc, dict) or doc.get("format") != "seqclust-model":
         raise ValueError(f"{path}: not a seqclust model file")
+    if doc.get("centers") is None:
+        raise ValueError(f"{path}: model has no centers")
     for key in ("centers", "seeds", "raw_centers"):
         if doc.get(key) is not None:
             doc[key] = np.asarray(doc[key], dtype=float)

@@ -39,13 +39,13 @@ def _run_numpy(centers, counts, X) -> None:
 
 def _run_scalar(centers, counts, X) -> None:
     """MacQueen's update over the rows of X, walked in Python floats."""
-    d = centers.shape[1]
+    ds = range(centers.shape[1])
     cent = [list(map(float, row)) for row in centers]
     cnt = [int(c) for c in counts]
     for z, r, _ in _scalar_walk(cent, X):
         row = cent[r]
         w = 1.0 + cnt[r]
-        for j in range(d):
+        for j in ds:
             row[j] -= (row[j] - z[j]) / w
         cnt[r] += 1
     centers[:] = cent

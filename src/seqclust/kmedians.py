@@ -72,17 +72,15 @@ class GainConfig:
 @dataclass
 class KMediansState:
     """Mutable per-stream state. `raw` are the gradient iterates, `averaged`
-    the running means returned as the estimate."""
+    the running means returned as the estimate. What else a stream reports
+    follows from the update counts, the skips and the gain."""
 
     raw: np.ndarray
     averaged: np.ndarray
     update_counts: np.ndarray   # (k,) completed updates per cluster
-    current_steps: np.ndarray   # (k,) last gain used, 0 before the first update
     gain: GainConfig
     bound_K: object = None      # when set, the norm bound is asserted per step
     skips: int = 0
-    n_seen: int = 0
-    max_step: float = 0.0
 
     @property
     def k(self) -> int:
@@ -91,6 +89,26 @@ class KMediansState:
     @property
     def d(self) -> int:
         return self.raw.shape[1]
+
+    @property
+    def n_seen(self) -> int:
+        """Rows consumed: each one either updated a cluster or was skipped."""
+        return int(self.update_counts.sum()) + self.skips
+
+    @property
+    def current_steps(self) -> np.ndarray:
+        """(k,) last gain used per cluster, 0 before its first update."""
+        cvec = self.gain.c_vector(self.k)
+        steps = np.zeros(self.k)
+        updated = self.update_counts > 0
+        steps[updated] = cvec[updated] / _gain_powers(self.gain, self.update_counts[updated] - 1)
+        return steps
+
+    @property
+    def max_step(self) -> float:
+        """Largest gain used so far: a cluster's first step, c_r, is its largest."""
+        updated = self.update_counts > 0
+        return float(self.gain.c_vector(self.k)[updated].max()) if updated.any() else 0.0
 
 
 def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
@@ -107,7 +125,6 @@ def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
         raw=s,
         averaged=s.copy(),
         update_counts=np.zeros(k, dtype=np.int64),
-        current_steps=np.zeros(k),
         gain=gain,
         bound_K=bound_K,
     )
@@ -132,14 +149,13 @@ def _consume(state: KMediansState, X) -> None:
     raw = state.raw
     avg = state.averaged
     counts = state.update_counts
-    steps = state.current_steps
     cvec = state.gain.c_vector(raw.shape[0])
     c_alpha = state.gain.c_alpha
     alpha = state.gain.alpha
     bound = state.bound_K
     d = raw.shape[1]
     skips = 0
-    max_step = state.max_step
+    max_step = None if bound is None else state.max_step  # the property re-validates the gain
     for _, r, sq, diff in _numpy_walk(raw, X):
         nrm = np.sqrt(sq / d)
         if nrm == 0.0:
@@ -151,16 +167,12 @@ def _consume(state: KMediansState, X) -> None:
         # running mean over {seed} + raw iterates after each update
         avg[r] = ((u + 1) * avg[r] + raw[r]) / (u + 2)
         counts[r] = u + 1
-        steps[r] = a
-        if a > max_step:
-            max_step = a
         if bound is not None:
+            max_step = max(max_step, cvec[r])
             nr = np.sqrt((raw[r] * raw[r]).mean())
             if nr > bound + 2.0 * max_step + _BOUND_SLACK:
                 raise _unbounded(r, nr, bound, max_step)
     state.skips += skips
-    state.n_seen += X.shape[0]
-    state.max_step = max_step
 
 
 def _consume_small(state: KMediansState, X) -> None:
@@ -169,13 +181,13 @@ def _consume_small(state: KMediansState, X) -> None:
     raw = [list(map(float, row)) for row in state.raw]
     avg = [list(map(float, row)) for row in state.averaged]
     counts = [int(c) for c in state.update_counts]
-    steps = [float(s) for s in state.current_steps]
     cvec = [float(c) for c in state.gain.c_vector(k)]
     c_alpha = float(state.gain.c_alpha)
     alpha = float(state.gain.alpha)
     bound = state.bound_K
     skips = 0
-    max_step = state.max_step
+    max_step = None if bound is None else state.max_step
+    ds = range(d)
     for z, r, best_sq in _scalar_walk(raw, X):
         nrm = math.sqrt(best_sq / d)
         if nrm == 0.0:
@@ -187,16 +199,14 @@ def _consume_small(state: KMediansState, X) -> None:
         row = raw[r]
         mean_row = avg[r]
         w = u + 1
-        for j in range(d):
+        for j in ds:
             row[j] -= scale * (row[j] - z[j])
             mean_row[j] = (w * mean_row[j] + row[j]) / (u + 2)
         counts[r] = w
-        steps[r] = a
-        if a > max_step:
-            max_step = a
         if bound is not None:
+            max_step = max(max_step, cvec[r])
             s = 0.0
-            for j in range(d):
+            for j in ds:
                 s += row[j] * row[j]
             nr = math.sqrt(s / d)
             if nr > bound + 2.0 * max_step + _BOUND_SLACK:
@@ -204,10 +214,7 @@ def _consume_small(state: KMediansState, X) -> None:
     state.raw[:] = raw
     state.averaged[:] = avg
     state.update_counts[:] = counts
-    state.current_steps[:] = steps
     state.skips += skips
-    state.n_seen += X.shape[0]
-    state.max_step = max_step
 
 
 def _consume_restarts(states, X, perms) -> None:
@@ -224,13 +231,12 @@ def _consume_restarts(states, X, perms) -> None:
     raw = np.stack([st.raw for st in states])
     avg = np.stack([st.averaged for st in states])
     counts = np.stack([st.update_counts for st in states])
-    steps = np.stack([st.current_steps for st in states])
-    max_step = np.array([st.max_step for st in states])
+    max_step = None if bound is None else np.array([st.max_step for st in states])
     skips = np.zeros(R, dtype=np.int64)
     powers = _gain_powers(gain, range(int(counts.max()) + X.shape[0]))
     cvec = np.tile(gain.c_vector(k), R)
     flat_raw, flat_avg = raw.reshape(R * k, d), avg.reshape(R * k, d)
-    flat_counts, flat_steps = counts.reshape(R * k), steps.reshape(R * k)
+    flat_counts = counts.reshape(R * k)
     for _, i, sq, diff in _batched_walk(raw, X, perms):
         nrm = np.sqrt(sq[i] / d)
         live = nrm != 0.0
@@ -247,9 +253,8 @@ def _consume_restarts(states, X, perms) -> None:
         # running mean over {seed} + raw iterates after each update
         flat_avg[i] = ((u + 1)[:, None] * flat_avg[i] + new) / (u + 2)[:, None]
         flat_counts[i] = u + 1
-        flat_steps[i] = a
-        max_step[ri] = np.maximum(max_step[ri], a)
         if bound is not None:
+            max_step[ri] = np.maximum(max_step[ri], cvec[i])
             nr = np.sqrt((new * new).mean(axis=1))
             over = nr > bound + 2.0 * max_step[ri] + _BOUND_SLACK
             if over.any():
@@ -260,16 +265,12 @@ def _consume_restarts(states, X, perms) -> None:
         st.raw[:] = raw[j]
         st.averaged[:] = avg[j]
         st.update_counts[:] = counts[j]
-        st.current_steps[:] = steps[j]
         st.skips += int(skips[j])
-        st.n_seen += X.shape[0]
-        st.max_step = float(max_step[j])
 
 
 def _copy_state(state: KMediansState) -> KMediansState:
     return replace(state, raw=state.raw.copy(), averaged=state.averaged.copy(),
-                   update_counts=state.update_counts.copy(),
-                   current_steps=state.current_steps.copy())
+                   update_counts=state.update_counts.copy())
 
 
 def kmedians_step(state: KMediansState, z) -> KMediansState:
@@ -420,21 +421,10 @@ def state_from_model(model: dict) -> KMediansState:
         c_alpha=float(model["c_alpha"]),
         alpha=float(model["alpha"]),
     )
-    raw = np.asarray(model["raw_centers"], dtype=float).copy()
-    counts = np.asarray(model["update_counts"], dtype=np.int64).copy()
-    k = raw.shape[0]
-    cvec = gain.c_vector(k)
-    steps = np.zeros(k)
-    updated = counts > 0
-    steps[updated] = cvec[updated] / _gain_powers(gain, counts[updated] - 1)
-    max_step = float(cvec[updated].max()) if np.any(updated) else 0.0
     return KMediansState(
-        raw=raw,
+        raw=np.asarray(model["raw_centers"], dtype=float).copy(),
         averaged=np.asarray(model["centers"], dtype=float).copy(),
-        update_counts=counts,
-        current_steps=steps,
+        update_counts=np.asarray(model["update_counts"], dtype=np.int64).copy(),
         gain=gain,
         skips=int(model.get("skips", 0)),
-        n_seen=int(model.get("n_queries", 0)),
-        max_step=max_step,
     )

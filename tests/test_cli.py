@@ -157,6 +157,17 @@ def test_eval_without_labels_reports_unavailable(tmp_path, capsys):
     assert "cer=unavailable" in capsys.readouterr().out
 
 
+def test_eval_rejects_json_that_is_not_a_model(tmp_path, capsys):
+    data = _gen_sim1(tmp_path)
+    capsys.readouterr()
+    for doc, problem in (([1, 2], "not a seqclust model file"),
+                         ({"format": "seqclust-model"}, "model has no centers")):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 1, doc
+        assert capsys.readouterr().err == f"error: {model}: {problem}\n"
+
+
 def test_bench_spec_file_runs_and_is_reproducible(tmp_path, capsys):
     spec = dict(name="clibench", kind="sweep", generator="sim1",
                 generator_params={"n": 50, "epsilon": 0.0}, k=2,

@@ -22,7 +22,6 @@ from seqclust import (
     write_model,
 )
 from seqclust.core import _BLOCK_BYTES
-from seqclust.pam import _Dissim
 
 
 def test_normalized_norm_all_ones():
@@ -151,10 +150,13 @@ def test_pam_matrix_equals_per_row_distances():
     rng = np.random.default_rng(5)
     for n, d in ((300, 2), (60, 200), (40, 7)):
         X = rng.standard_normal((n, d))
-        dis = _Dissim(X, cache_limit=n)
-        assert dis.D.tobytes() == np.stack([_per_center_distances(X, X[i:i + 1])[:, 0]
-                                             for i in range(n)]).tobytes()
-        assert dis.evals == n * (n - 1) // 2
+        D = normalized_distances(X, X)
+        assert D.tobytes() == np.stack([_per_center_distances(X, X[i:i + 1])[:, 0]
+                                        for i in range(n)]).T.tobytes()
+        # PAM reads row m as the distances to medoid m
+        assert D.tobytes() == np.ascontiguousarray(D.T).tobytes()
+        report = pam_fit(X, 2)
+        assert report.distance_evals == report.build_evals == n * (n - 1) // 2
 
 
 def test_assign_nearest_exactly_one_index():

@@ -27,6 +27,7 @@ from seqclust import (
     state_from_model,
     write_model,
 )
+from seqclust.kmedians import _consume_restarts
 
 SQ2 = math.sqrt(2.0)
 
@@ -167,6 +168,32 @@ def test_boundedness_invariant_randomized():
             Dataset(X=X), 3, GainConfig(c_gamma=c), restarts=2, seed=int(c * 10),
             bound_check=True,
         )
+
+
+@pytest.mark.parametrize("d, restarts, message", [
+    (2, 1, "boundedness violated: |raw[0]|=2.74725504 > 0.707106781 + 2*1"),
+    (12, 1, "boundedness violated: |raw[0]|=2.3288234 > 0.288675135 + 2*1"),
+    (12, 3, "boundedness violated in restart 1: |raw[0]|=2.3288234 > 0.288675135 + 2*1"),
+], ids=["scalar", "numpy", "batched"])
+def test_boundedness_violation_names_the_largest_step_taken(d, restarts, message):
+    # bound_K is the seeds' own norm and every row lies far outside it. One row
+    # moves the c=1 cluster, then the c=0.5 cluster walks off; the c=2 cluster
+    # never moves, so the bound's max_step is 1, not the largest c_gamma.
+    seeds = np.zeros((3, d))
+    seeds[0, 0], seeds[1, 1], seeds[2, 0] = -1.0, 1.0, 1.0
+    X = np.zeros((40, d))
+    X[0, 0], X[1:, 0] = 50.0, -50.0
+    gain, K = GainConfig(c_gamma=[0.5, 2.0, 1.0]), float(normalized_norm(seeds[0]))
+    with pytest.raises(AssertionError) as err:
+        if restarts == 1:
+            kmedians_stream(kmedians_init(seeds, gain, bound_K=K), X)
+        else:
+            # restarts 0 and 2 send the first row to the c=2 cluster, which
+            # widens their bound, so restart 1 trips first and is named
+            orders = ((0, 2, 1), (0, 1, 2), (0, 2, 1))
+            _consume_restarts([kmedians_init(seeds[list(o)], gain, bound_K=K) for o in orders],
+                              X, None)
+    assert str(err.value) == message
 
 
 def test_stream_matches_stepwise():

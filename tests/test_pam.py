@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seqclust import Dataset, PamSizeError, normalized_distances, pam_fit
+from seqclust.pam import _build_swap
 
 
 def _oracle_cost(X, k):
@@ -47,26 +48,26 @@ def test_matches_exhaustive_oracle_on_small_instances():
 
 
 def test_build_swap_ends_at_a_swap_local_optimum():
-    # exact_limit=0 forces BUILD+SWAP even where enumeration would run, so the
-    # local search itself is checked: no single medoid/non-medoid exchange may
-    # lower the cost of the medoids it returns
+    # BUILD+SWAP runs even where pam_fit would enumerate, so the local search
+    # itself is checked: no single medoid/non-medoid exchange may lower the
+    # cost of the medoids it returns
     rng = np.random.default_rng(47)
     misses = small = 0
     for trial in range(120):
         n = int(rng.integers(8, 41))
         k = int(rng.integers(2, 5))
         X = rng.standard_normal((n, 2)) * rng.uniform(0.5, 3.0)
-        report = pam_fit(Dataset(X=X), k, exact_limit=0)
         D = normalized_distances(X, X)
-        medoids = report.medoid_indices.tolist()
+        medoids = _build_swap(D, k)
+        risk = float(D[:, medoids].min(axis=1).mean())
         for mi in range(k):
             for o in set(range(n)) - set(medoids):
                 swapped = medoids[:mi] + [o] + medoids[mi + 1:]
                 cost = float(D[:, swapped].min(axis=1).mean())
-                assert cost >= report.risk, f"trial {trial}: swapping {medoids[mi]} for {o} lowers the cost"
+                assert cost >= risk, f"trial {trial}: swapping {medoids[mi]} for {o} lowers the cost"
         if n <= 12:
             small += 1
-            misses += report.risk > _oracle_cost(X, k)
+            misses += risk > _oracle_cost(X, k)
     print(f"BUILD+SWAP missed the exhaustive optimum on {misses} of {small} instances with n <= 12")
 
 
@@ -97,13 +98,18 @@ def test_deterministic():
     b = pam_fit(Dataset(X=X), 3)
     np.testing.assert_array_equal(a.medoid_indices, b.medoid_indices)
     assert a.risk == b.risk
+    # nor does the memory layout of the input
+    X = rng.standard_normal((60, 8))
+    a, b = pam_fit(X, 3), pam_fit(np.asfortranarray(X), 3)
+    np.testing.assert_array_equal(a.medoid_indices, b.medoid_indices)
+    assert a.risk == b.risk and a.assignments.tobytes() == b.assignments.tobytes()
 
 
 def test_size_cap():
     rng = np.random.default_rng(44)
-    X = rng.standard_normal((30, 2))
-    with pytest.raises(PamSizeError, match="kmedians"):
-        pam_fit(Dataset(X=X), 2, max_n=20)
+    X = rng.standard_normal((5001, 2))
+    with pytest.raises(PamSizeError, match="n=5001 exceeds the PAM cap of 5000.*kmedians"):
+        pam_fit(Dataset(X=X), 2)
 
 
 def test_cached_build_counter_is_quadratic():
@@ -111,20 +117,3 @@ def test_cached_build_counter_is_quadratic():
     X = rng.standard_normal((64, 2))
     report = pam_fit(Dataset(X=X), 3)
     assert report.build_evals == 64 * 63 // 2
-
-
-def test_uncached_path_same_answer_more_evals():
-    rng = np.random.default_rng(46)
-    X = rng.standard_normal((40, 2))
-    cached = pam_fit(Dataset(X=X), 2)
-    uncached = pam_fit(Dataset(X=X), 2, cache_limit=0)
-    np.testing.assert_array_equal(cached.medoid_indices, uncached.medoid_indices)
-    assert cached.risk == uncached.risk
-    assert uncached.distance_evals > cached.distance_evals
-    # on a plain Fortran-order array too: a row recomputed on demand must add
-    # its 8 squared differences in the order the cached matrix does
-    for trial in range(20):
-        X = np.asfortranarray(np.random.default_rng(trial).standard_normal((60, 8)))
-        cached, uncached = pam_fit(X, 3), pam_fit(X, 3, cache_limit=0)
-        np.testing.assert_array_equal(cached.medoid_indices, uncached.medoid_indices)
-        assert cached.risk == uncached.risk, f"trial {trial}"
