@@ -100,9 +100,11 @@ def cmd_generate(args) -> int:
 
 def cmd_fit(args) -> int:
     data = read_csv(args.data)
-    if args.algorithm == "kmedians" and args.c_gamma is None:
-        raise ValueError("fit kmedians needs --c-gamma (or use kmedians-auto)")
-    gain = GainConfig(c_gamma=args.c_gamma, c_alpha=args.c_alpha, alpha=args.alpha)
+    gain = None  # only kmedians takes a gain, and GainConfig rejects a missing one
+    if args.algorithm == "kmedians":
+        if args.c_gamma is None:
+            raise ValueError("fit kmedians needs --c-gamma (or use kmedians-auto)")
+        gain = GainConfig(c_gamma=args.c_gamma, c_alpha=args.c_alpha, alpha=args.alpha)
     report = fit(args.algorithm, data, args.k, gain=gain, restarts=args.restarts,
                  seed=args.seed, shuffle=args.shuffle, bound_check=args.bound_check)
     print(f"algorithm={report.algorithm}")

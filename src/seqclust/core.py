@@ -313,6 +313,8 @@ def read_model(path) -> dict:
         raise ValueError(f"{path}: not a seqclust model file")
     if doc.get("centers") is None:
         raise ValueError(f"{path}: model has no centers")
+    if not isinstance(doc.get("algorithm"), str):
+        raise ValueError(f"{path}: model has no algorithm name")
     for key in ("centers", "seeds", "raw_centers"):
         if doc.get(key) is not None:
             doc[key] = np.asarray(doc[key], dtype=float)

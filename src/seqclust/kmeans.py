@@ -31,10 +31,13 @@ def kmeans_init(seeds) -> KMeansState:
 
 
 def _run_numpy(centers, counts, X) -> None:
-    """MacQueen's update over the rows of X, walked with numpy."""
+    """MacQueen's update over the rows of X, walked with numpy, in place."""
+    cnt = counts.tolist()
     for _, r, _, diff in _numpy_walk(centers, X):
-        centers[r] -= diff / (1.0 + counts[r])
-        counts[r] += 1
+        row = centers[r]
+        np.subtract(row, np.divide(diff, 1.0 + cnt[r], out=diff), out=row)
+        cnt[r] += 1
+    counts[:] = cnt
 
 
 def _run_scalar(centers, counts, X) -> None:
@@ -57,9 +60,11 @@ def _run_restarts(centers, counts, X, perms) -> None:
     block `centers` and (R, k) `counts`, in place."""
     flat = centers.reshape(-1, centers.shape[2])
     flat_counts = counts.reshape(-1)
+    chosen = np.empty((centers.shape[0], centers.shape[2]))
     for _, i, _, diff in _batched_walk(centers, X, perms):
         n_i = flat_counts[i]
-        flat[i] -= diff / (1.0 + n_i)[:, None]
+        np.divide(diff, (1.0 + n_i)[:, None], out=diff)
+        flat[i] = np.subtract(flat.take(i, axis=0, out=chosen, mode="clip"), diff, out=chosen)
         flat_counts[i] = n_i + 1
 
 
@@ -68,7 +73,7 @@ def kmeans_step(state: KMeansState, z) -> KMeansState:
     z = np.asarray(z, dtype=float)
     if z.shape != (state.centers.shape[1],):
         raise ValueError("kmeans_step: dimension mismatch")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("kmeans_step: non-finite observation")
     centers = state.centers.copy()
     counts = state.counts.copy()

@@ -54,19 +54,24 @@ class GainConfig:
     c_alpha: float = 1.0
     alpha: float = 0.75
 
-    def c_vector(self, k: int) -> np.ndarray:
+    def __post_init__(self):
         c = np.asarray(self.c_gamma, dtype=float).reshape(-1)
-        if c.size == 1:
-            c = np.full(k, c[0])
-        if c.size != k:
-            raise ValueError(f"c_gamma must be scalar or length {k}, got length {c.size}")
         if not np.all(np.isfinite(c)) or np.any(c <= 0):
             raise ValueError("c_gamma must be positive and finite")
         if not (np.isfinite(self.c_alpha) and self.c_alpha > 0):
             raise ValueError("c_alpha must be positive and finite")
         if not (0.5 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (1/2, 1]")
-        return c
+        object.__setattr__(self, "_c", c)  # checked once here; c_vector only broadcasts it
+
+    def c_vector(self, k: int) -> np.ndarray:
+        """(k,) gain constants: c_gamma broadcast to the k clusters."""
+        c = self._c
+        if c.size == 1:
+            return np.full(k, c[0])
+        if c.size != k:
+            raise ValueError(f"c_gamma must be scalar or length {k}, got length {c.size}")
+        return c.copy()
 
 
 @dataclass
@@ -142,46 +147,53 @@ def _consume(state: KMediansState, X) -> None:
     place: the kernel of kmedians_stream, kmedians_step and of fits with a
     single restart or d <= 8 (several restarts at d > 8 run
     _consume_restarts). Up to d=8 the scalar loop runs, the hot path of
-    every 2-d benchmark."""
+    every 2-d benchmark. The gain is taken in Python floats, whose sqrt, pow
+    and division give the bits numpy's scalars do."""
     if state.raw.shape[1] <= 8:
         _consume_small(state, np.asarray(X, dtype=float))
         return
     raw = state.raw
     avg = state.averaged
-    counts = state.update_counts
-    cvec = state.gain.c_vector(raw.shape[0])
-    c_alpha = state.gain.c_alpha
-    alpha = state.gain.alpha
-    bound = state.bound_K
     d = raw.shape[1]
+    counts = state.update_counts.tolist()
+    cvec = state.gain.c_vector(raw.shape[0]).tolist()
+    c_alpha = float(state.gain.c_alpha)
+    alpha = float(state.gain.alpha)
+    bound = state.bound_K
     skips = 0
-    max_step = None if bound is None else state.max_step  # the property re-validates the gain
+    max_step = None if bound is None else state.max_step
     for _, r, sq, diff in _numpy_walk(raw, X):
-        nrm = np.sqrt(sq / d)
+        nrm = math.sqrt(sq / d)
         if nrm == 0.0:
             skips += 1
             continue
         u = counts[r]
         a = cvec[r] / (1.0 + c_alpha * u) ** alpha
-        raw[r] -= (a / nrm) * diff
-        # running mean over {seed} + raw iterates after each update
-        avg[r] = ((u + 1) * avg[r] + raw[r]) / (u + 2)
+        row, mean_row = raw[r], avg[r]
+        np.multiply(diff, a / nrm, out=diff)
+        np.subtract(row, diff, out=row)
+        # running mean over {seed} + raw iterates after each update:
+        # ((u + 1) * avg + raw) / (u + 2), in place
+        np.multiply(mean_row, u + 1, out=mean_row)
+        np.add(mean_row, row, out=mean_row)
+        np.divide(mean_row, u + 2, out=mean_row)
         counts[r] = u + 1
         if bound is not None:
             max_step = max(max_step, cvec[r])
-            nr = np.sqrt((raw[r] * raw[r]).mean())
+            nr = np.sqrt((row * row).mean())
             if nr > bound + 2.0 * max_step + _BOUND_SLACK:
                 raise _unbounded(r, nr, bound, max_step)
+    state.update_counts[:] = counts
     state.skips += skips
 
 
 def _consume_small(state: KMediansState, X) -> None:
     """Scalar twin of the numpy loop for d <= 8, with the same bits up to d=7."""
-    k, d = state.raw.shape
-    raw = [list(map(float, row)) for row in state.raw]
-    avg = [list(map(float, row)) for row in state.averaged]
-    counts = [int(c) for c in state.update_counts]
-    cvec = [float(c) for c in state.gain.c_vector(k)]
+    d = state.raw.shape[1]
+    raw = state.raw.tolist()
+    avg = state.averaged.tolist()
+    counts = state.update_counts.tolist()
+    cvec = state.gain.c_vector(len(raw)).tolist()
     c_alpha = float(state.gain.c_alpha)
     alpha = float(state.gain.alpha)
     bound = state.bound_K
@@ -237,6 +249,7 @@ def _consume_restarts(states, X, perms) -> None:
     cvec = np.tile(gain.c_vector(k), R)
     flat_raw, flat_avg = raw.reshape(R * k, d), avg.reshape(R * k, d)
     flat_counts = counts.reshape(R * k)
+    new_buf, mean_buf = np.empty((R, d)), np.empty((R, d))
     for _, i, sq, diff in _batched_walk(raw, X, perms):
         nrm = np.sqrt(sq[i] / d)
         live = nrm != 0.0
@@ -246,12 +259,19 @@ def _consume_restarts(states, X, perms) -> None:
             skips += ~live
             ri = np.flatnonzero(live)
             i, nrm, diff = i[ri], nrm[ri], diff[ri]
+        new, mean = new_buf[: len(i)], mean_buf[: len(i)]
         u = flat_counts[i]
         a = cvec[i] / powers[u]
-        new = flat_raw[i] - (a / nrm)[:, None] * diff
+        np.divide(a, nrm, out=a)
+        np.multiply(diff, a[:, None], out=diff)
+        np.subtract(flat_raw.take(i, axis=0, out=new, mode="clip"), diff, out=new)
         flat_raw[i] = new
-        # running mean over {seed} + raw iterates after each update
-        flat_avg[i] = ((u + 1)[:, None] * flat_avg[i] + new) / (u + 2)[:, None]
+        # running mean over {seed} + raw iterates after each update:
+        # ((u + 1) * avg + raw) / (u + 2), in place
+        np.multiply(flat_avg.take(i, axis=0, out=mean, mode="clip"), (u + 1)[:, None], out=mean)
+        np.add(mean, new, out=mean)
+        np.divide(mean, (u + 2)[:, None], out=mean)
+        flat_avg[i] = mean
         flat_counts[i] = u + 1
         if bound is not None:
             max_step[ri] = np.maximum(max_step[ri], cvec[i])
@@ -269,8 +289,8 @@ def _consume_restarts(states, X, perms) -> None:
 
 
 def _copy_state(state: KMediansState) -> KMediansState:
-    return replace(state, raw=state.raw.copy(), averaged=state.averaged.copy(),
-                   update_counts=state.update_counts.copy())
+    return KMediansState(state.raw.copy(), state.averaged.copy(), state.update_counts.copy(),
+                         state.gain, state.bound_K, state.skips)
 
 
 def kmedians_step(state: KMediansState, z) -> KMediansState:
@@ -286,7 +306,7 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != state.d:
         raise ValueError("kmedians_stream: expected (m, d) batch matching the state")
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise ValueError("kmedians_stream: non-finite observations")
     out = _copy_state(state)
     _consume(out, X)

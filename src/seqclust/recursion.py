@@ -139,12 +139,18 @@ def _scalar_walk(centers, X):
 def _numpy_walk(centers, X):
     """Yield (z, r, sq, diff) per row z of X, in order: its nearest center's
     index, their squared distance and diff = centers[r] - z. The caller
-    updates the (k, d) array `centers` in place, so the next row sees it."""
+    updates the (k, d) array `centers` in place, so the next row sees it.
+    diff is a row of a buffer the walk refills each row, which the caller may
+    overwrite: the walk allocates no array per row."""
+    diffs = np.empty_like(centers)
+    squares = np.empty_like(centers)
+    sq = np.empty(centers.shape[0])
     for z in X:
-        diff = centers - z
-        sq = (diff * diff).sum(axis=1)
-        r = int(np.argmin(sq))
-        yield z, r, sq[r], diff[r]
+        np.subtract(centers, z, out=diffs)
+        np.multiply(diffs, diffs, out=squares)
+        np.add.reduce(squares, axis=1, out=sq)  # what .sum(axis=1) runs: the same bits
+        r = int(sq.argmin())
+        yield z, r, sq.item(r), diffs[r]
 
 
 def _batched_walk(centers, X, perms):
@@ -154,14 +160,23 @@ def _batched_walk(centers, X, perms):
     Restart i reads the rows in the i-th of the R row orders `perms` if given.
     Yields (z, i, sq, diff): i the (R,) flat indices of each restart's nearest
     center, sq all R*k squared distances (k-means needs none, so no gather)
-    and diff the rows i of centers - z, each as _numpy_walk computes it."""
+    and diff the (R, d) rows i of centers - z, each as _numpy_walk computes
+    it. sq and diff are buffers the walk refills each row, and the caller may
+    overwrite diff: the walk allocates no (R, k, d) or (R, d) array per row."""
     R, k, d = centers.shape
     base = np.arange(R) * k
-    diff = np.empty_like(centers)
-    flat_diff = diff.reshape(R * k, d)
+    diffs = np.empty_like(centers)
+    flat_diffs = diffs.reshape(R * k, d)
+    squares = np.empty_like(centers)
+    sq = np.empty((R, k))
+    flat_sq = sq.reshape(R * k)
+    diff = np.empty((R, d))
     rows = X if perms is None else (X[cols][:, None, :] for cols in np.stack(list(perms)).T)
     for z in rows:
-        np.subtract(centers, z, out=diff)
-        sq = (diff * diff).sum(axis=2)
+        np.subtract(centers, z, out=diffs)
+        np.multiply(diffs, diffs, out=squares)
+        np.add.reduce(squares, axis=2, out=sq)
         i = base + sq.argmin(axis=1)
-        yield z, i, sq.reshape(R * k), flat_diff[i]
+        # i is in range, and mode="raise" would fill `out` through a buffer
+        flat_diffs.take(i, axis=0, out=diff, mode="clip")
+        yield z, i, flat_sq, diff

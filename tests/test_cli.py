@@ -103,6 +103,16 @@ def test_fit_kmedians_requires_c_gamma(tmp_path, capsys):
     assert int(got["skips"]) + int(got["updates"]) == 120
 
 
+def test_fit_kmedians_rejects_a_bad_gain(tmp_path, capsys):
+    data = _gen_sim1(tmp_path)
+    capsys.readouterr()
+    for flags, problem in ((["--c-gamma", "-1"], "c_gamma must be positive and finite"),
+                           (["--c-gamma", "1", "--alpha", "0.5"], "alpha must lie in (1/2, 1]")):
+        rc = main(["fit", "--algorithm", "kmedians", "--data", str(data), "--k", "3", *flags])
+        assert rc == 1, flags
+        assert capsys.readouterr().err == f"error: {problem}\n"
+
+
 def test_fit_auto_gain_matches_pilot_kmeans_risk(tmp_path, capsys):
     data = _gen_sim1(tmp_path)
     rc = main(["fit", "--algorithm", "kmeans", "--data", str(data), "--k", "3",
@@ -161,7 +171,11 @@ def test_eval_rejects_json_that_is_not_a_model(tmp_path, capsys):
     data = _gen_sim1(tmp_path)
     capsys.readouterr()
     for doc, problem in (([1, 2], "not a seqclust model file"),
-                         ({"format": "seqclust-model"}, "model has no centers")):
+                         ({"format": "seqclust-model"}, "model has no centers"),
+                         ({"format": "seqclust-model", "centers": [[0, 0]]},
+                          "model has no algorithm name"),
+                         ({"format": "seqclust-model", "centers": [[0, 0]], "algorithm": 3},
+                          "model has no algorithm name")):
         model = tmp_path / "m.json"
         model.write_text(json.dumps(doc))
         assert main(["eval", "--model", str(model), "--data", str(data)]) == 1, doc
@@ -185,6 +199,22 @@ def test_bench_spec_file_runs_and_is_reproducible(tmp_path, capsys):
     assert res1 == res2
     summ = json.loads((out1 / "clibench_summary.json").read_text())
     assert summ["cells"] == 2 and summ["failed_cells"] == 0
+
+
+def test_bench_spec_with_a_c_grid_runs_every_cell(tmp_path, capsys):
+    # only the kmedians cells take a gain, one per c_grid value
+    spec = dict(name="grid", kind="cer", generator="sim1",
+                generator_params={"n": 60, "epsilon": 0.05}, k=2,
+                algorithms=["kmeans", "kmedians", "kmedians-auto", "pam"],
+                c_grid=[0.5, 2.0], restarts=2, replications=2, seed=3)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["bench", str(spec_path), "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    summ = json.loads((tmp_path / "grid_summary.json").read_text())
+    assert summ["cells"] == 2 * 5 and summ["failed_cells"] == 0
+    rows = (tmp_path / "grid_results.csv").read_text().splitlines()
+    assert sum(",kmedians," in row for row in rows) == 2 * 2
 
 
 def test_bench_rejects_invalid_spec_file(tmp_path, capsys):

@@ -119,6 +119,25 @@ def test_fit_at_d8_breaks_near_ties_like_kmeans_step():
     assert report.counts.tobytes() == state.counts.tobytes()
 
 
+def test_kmeans_step_chain_equals_single_restart_fit():
+    # at d=12 kmeans_step and the R=1 fit both walk with numpy; the chain
+    # copies its state every row and must neither drift from the fit nor
+    # touch the state it was given
+    rng = np.random.default_rng(272)
+    X = rng.standard_normal((80, 12))
+    X = np.vstack([X, X[rng.integers(0, 80, 40)]])
+    seeds = X[:3].copy()
+    first = kmeans_init(seeds)
+    state = first
+    for z in X:
+        state = kmeans_step(state, z)
+    report = kmeans_fit(X, 3, seeds=seeds, restarts=1)
+    assert report.centers.tobytes() == state.centers.tobytes()
+    assert report.counts.tobytes() == state.counts.tobytes()
+    assert first.centers.tobytes() == seeds.tobytes()
+    np.testing.assert_array_equal(first.counts, [1, 1, 1])
+
+
 def test_fit_restart_selection_minimizes_risk():
     rng = np.random.default_rng(22)
     X = np.vstack([

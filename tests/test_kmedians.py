@@ -34,16 +34,25 @@ SQ2 = math.sqrt(2.0)
 
 def test_gain_config_validation():
     GainConfig(c_gamma=1.0, alpha=1.0).c_vector(2)  # alpha=1 allowed
-    with pytest.raises(ValueError):
-        GainConfig(alpha=0.4).c_vector(2)
-    with pytest.raises(ValueError):
-        GainConfig(alpha=0.5).c_vector(2)  # boundary excluded
-    with pytest.raises(ValueError):
-        GainConfig(c_gamma=0.0).c_vector(2)
-    with pytest.raises(ValueError):
-        GainConfig(c_alpha=-1.0).c_vector(2)
-    with pytest.raises(ValueError):
-        GainConfig(c_gamma=[1.0, 2.0, 3.0]).c_vector(2)
+    # a bad value is rejected where the config is built, not where it is used
+    for kwargs, message in (
+        (dict(alpha=0.4), r"alpha must lie in \(1/2, 1\]"),
+        (dict(alpha=0.5), r"alpha must lie in \(1/2, 1\]"),  # boundary excluded
+        (dict(c_gamma=0.0), "c_gamma must be positive and finite"),
+        (dict(c_gamma=[1.0, -2.0]), "c_gamma must be positive and finite"),
+        (dict(c_gamma=None), "c_gamma must be positive and finite"),
+        (dict(c_gamma=math.inf), "c_gamma must be positive and finite"),
+        (dict(c_alpha=-1.0), "c_alpha must be positive and finite"),
+        (dict(c_alpha=math.nan), "c_alpha must be positive and finite"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GainConfig(**kwargs)
+    # the length of a per-cluster c_gamma is checked against k when it is used
+    gain = GainConfig(c_gamma=[1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(gain.c_vector(3), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="c_gamma must be scalar or length 2, got length 3"):
+        gain.c_vector(2)
+    np.testing.assert_array_equal(GainConfig(c_gamma=0.5).c_vector(3), [0.5, 0.5, 0.5])
 
 
 def test_init_state():
@@ -196,17 +205,35 @@ def test_boundedness_violation_names_the_largest_step_taken(d, restarts, message
     assert str(err.value) == message
 
 
-def test_stream_matches_stepwise():
+def _state_bytes(st):
+    return (st.raw.tobytes(), st.averaged.tobytes(), st.update_counts.tobytes(), st.skips,
+            st.n_seen, st.current_steps.tobytes())
+
+
+@pytest.mark.parametrize("d", [2, 8, 9, 200])
+@pytest.mark.parametrize("bounded", [False, True], ids=["free", "bounded"])
+def test_stream_matches_chunked_and_stepwise(d, bounded):
+    # the whole array, 16-row chunks and one kmedians_step per row are one
+    # recursion, on the scalar loop (d <= 8) and the numpy loop alike. Half
+    # the rows repeat the seeds, so some rows land on their center and are
+    # skipped.
     rng = np.random.default_rng(33)
-    X = rng.standard_normal((50, 2))
-    init = kmedians_init(X[:2].copy(), GainConfig())
-    streamed = kmedians_stream(init, X[2:])
-    stepped = init
-    for z in X[2:]:
+    X = rng.standard_normal((60, d)) * 2.0
+    seeds = X[:3].copy()
+    X = np.vstack([X, seeds[rng.integers(0, 3, 60)]])[rng.permutation(120)]
+    K = float(np.sqrt((X * X).mean(axis=1)).max()) if bounded else None
+    init = kmedians_init(seeds, GainConfig(c_gamma=[0.5, 1.5, 3.0]), bound_K=K)
+    before = _state_bytes(init)
+    streamed = kmedians_stream(init, X)
+    chunked = stepped = init
+    for i in range(0, len(X), 16):
+        chunked = kmedians_stream(chunked, X[i:i + 16])
+    for z in X:
         stepped = kmedians_step(stepped, z)
-    np.testing.assert_array_equal(streamed.raw, stepped.raw)
-    np.testing.assert_array_equal(streamed.averaged, stepped.averaged)
-    np.testing.assert_array_equal(streamed.update_counts, stepped.update_counts)
+    assert streamed.skips > 0
+    assert _state_bytes(chunked) == _state_bytes(streamed)
+    assert _state_bytes(stepped) == _state_bytes(streamed)
+    assert _state_bytes(init) == before
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 9, 50])
