@@ -1,6 +1,7 @@
 """Benchmark harness: risk sweeps, contamination/CER studies, timing tables.
 
 An ExperimentSpec names a generator, an algorithm list and grid parameters;
+load_experiment builds one from a preset name or a spec JSON file, and
 run_experiment expands it into independent cells (replication x size x k x
 algorithm x gain constant). Every cell derives its RNG streams from the
 master seed and its own grid position, so results do not depend on
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import _write_json
 from .datagen import GENERATORS, generate
 from .kmeans import kmeans_fit
 from .kmedians import GainConfig, kmedians_fit, kmedians_fit_data_driven
@@ -31,7 +33,7 @@ from .metrics import cer
 from .pam import pam_fit
 
 __all__ = ["ALGORITHMS", "OVERRIDES", "ExperimentSpec", "ResultTable", "fit",
-           "run_experiment", "preset", "load_spec_file", "load_experiment",
+           "run_experiment", "load_experiment",
            "PRESET_NAMES", "time_fit"]
 
 ALGORITHMS = ("kmeans", "kmedians", "kmedians-auto", "pam")
@@ -43,6 +45,7 @@ _COLUMNS = [
     "c_gamma", "restarts", "risk", "cer", "chosen_restart",
     "distance_evals", "status",
 ]
+_TIMING_REPEATS = 5  # timed calls per cell of a timing spec, after one warm-up
 _TIMING_COLUMNS = ["experiment", "replication", "n", "d", "k", "algorithm",
                    "c_gamma", "wall_median", "wall_runs"]
 
@@ -118,12 +121,12 @@ def fit(algorithm, data, k, *, gain, restarts, seed, shuffle=False, bound_check=
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def time_fit(fn, repeats: int = 5):
-    """Warm-up call plus `repeats` timed calls; returns (result, median, runs)."""
+def time_fit(fn):
+    """Warm-up call plus _TIMING_REPEATS timed calls; returns (result, median, runs)."""
     fn()
     runs = []
     out = None
-    for _ in range(repeats):
+    for _ in range(_TIMING_REPEATS):
         t0 = time.perf_counter()
         out = fn()
         runs.append(time.perf_counter() - t0)
@@ -193,23 +196,6 @@ class ResultTable:
     def failed_cells(self) -> int:
         return sum(1 for r in self.rows if r["status"] != "ok")
 
-    def all_ok(self) -> bool:
-        return self.failed_cells() == 0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_COLUMNS)
-            for r in self.rows:
-                w.writerow([_fmt(r[c]) for c in _COLUMNS])
-
-    def timings_to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_TIMING_COLUMNS)
-            for r in self.timings:
-                w.writerow([_fmt(r[c]) for c in _TIMING_COLUMNS])
-
     def summary(self) -> dict:
         groups = {}
         for r in self.rows:
@@ -242,21 +228,16 @@ class ResultTable:
         }
 
     def write(self, outdir) -> list:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        paths = []
-        res = outdir / f"{self.spec.name}_results.csv"
-        self.to_csv(res)
-        paths.append(str(res))
-        summ = outdir / f"{self.spec.name}_summary.json"
-        with open(summ, "w") as fh:
-            json.dump(self.summary(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        paths.append(str(summ))
+        """Write the results CSV, the summary JSON and, for a timing spec,
+        the timings CSV into `outdir`; returns their paths."""
+        Path(outdir).mkdir(parents=True, exist_ok=True)
+        stem = str(Path(outdir) / self.spec.name)
+        paths = [stem + "_results.csv", stem + "_summary.json"]
+        _write_rows(paths[0], _COLUMNS, self.rows)
+        _write_json(self.summary(), paths[1])
         if self.timings:
-            tim = outdir / f"{self.spec.name}_timings.csv"
-            self.timings_to_csv(tim)
-            paths.append(str(tim))
+            paths.append(stem + "_timings.csv")
+            _write_rows(paths[2], _TIMING_COLUMNS, self.timings)
         return paths
 
 
@@ -266,6 +247,15 @@ def _fmt(v):
     if isinstance(v, float):
         return repr(v)
     return v
+
+
+def _write_rows(path, columns, rows) -> None:
+    """Write `rows` (dicts) as CSV: a header, then each row's `columns`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(columns)
+        for r in rows:
+            w.writerow([_fmt(r[c]) for c in columns])
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
@@ -338,7 +328,21 @@ _PRESETS = {
 PRESET_NAMES = tuple(sorted(_PRESETS))
 
 
-def _spec(fields: dict, overrides: dict, source) -> ExperimentSpec:
+def load_experiment(experiment: str, **overrides) -> ExperimentSpec:
+    """The preset named `experiment`, else the spec file at that path, with
+    any OVERRIDES fields replaced; an override of None changes nothing."""
+    if experiment in _PRESETS:
+        fields = dict(_PRESETS[experiment], name=experiment)
+    elif os.path.exists(experiment):
+        with open(experiment, "r") as fh:
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ValueError(f"{experiment}: spec file must hold a JSON object")
+    else:
+        raise ValueError(
+            f"{experiment!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
+            "nor an existing spec file"
+        )
     for key, val in overrides.items():
         if val is None:
             continue
@@ -348,38 +352,5 @@ def _spec(fields: dict, overrides: dict, source) -> ExperimentSpec:
     try:
         spec = ExperimentSpec(**fields)
     except TypeError as exc:
-        raise ValueError(f"{source}: bad spec fields ({exc})") from exc
+        raise ValueError(f"{experiment}: bad spec fields ({exc})") from exc
     return spec.validate()
-
-
-def preset(name: str, **overrides) -> ExperimentSpec:
-    """Build a named preset spec, optionally overriding grid fields."""
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return _spec(dict(_PRESETS[name], name=name), overrides, name)
-
-
-def _spec_file(path, overrides: dict) -> ExperimentSpec:
-    with open(path, "r") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: spec file must hold a JSON object")
-    return _spec(doc, overrides, path)
-
-
-def load_spec_file(path) -> ExperimentSpec:
-    """Load an ExperimentSpec from a JSON file."""
-    return _spec_file(path, {})
-
-
-def load_experiment(experiment: str, **overrides) -> ExperimentSpec:
-    """The preset named `experiment`, else the spec file at that path, with
-    the same overrides as `preset`; an override of None changes nothing."""
-    if experiment in _PRESETS:
-        return preset(experiment, **overrides)
-    if os.path.exists(experiment):
-        return _spec_file(experiment, overrides)
-    raise ValueError(
-        f"{experiment!r} is neither a preset ({', '.join(PRESET_NAMES)}) "
-        "nor an existing spec file"
-    )

@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .bench import ALGORITHMS, OVERRIDES, PRESET_NAMES, fit, load_experiment, run_experiment
-from .core import assign_nearest, read_csv, read_model, write_model
+from .core import _write_json, assign_nearest, read_csv, read_model, write_model
 from .datagen import generate, save_dataset
 from .kmedians import GainConfig
 from .metrics import cer, empirical_l1_risk
@@ -141,11 +141,7 @@ def cmd_eval(args) -> int:
     else:
         print("cer=unavailable (dataset has no labels)")
     if args.output:
-        import json
-
-        with open(args.output, "w") as fh:
-            json.dump(metrics, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(metrics, args.output)
         print(f"wrote {args.output}")
     return 0
 

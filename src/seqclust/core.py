@@ -301,6 +301,11 @@ def write_model(report: FitReport, path) -> None:
         "alpha": report.alpha,
         "medoid_indices": _arr(report.medoid_indices),
     }
+    _write_json(doc, path)
+
+
+def _write_json(doc, path) -> None:
+    """Every JSON file the package writes: sorted keys, indent 1, final newline."""
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -8,13 +8,12 @@ order), so a seed reproduces a dataset bit for bit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import __version__
-from .core import Dataset, write_csv
+from .core import Dataset, _write_json, write_csv
 
 __all__ = [
     "Sim1Config",
@@ -204,7 +203,5 @@ def save_dataset(dataset: Dataset, csv_path, generator: str, config) -> str:
     }
     sidecar = str(csv_path)
     sidecar = sidecar[: -len(".csv")] + ".json" if sidecar.endswith(".csv") else sidecar + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(meta, sidecar)
     return sidecar

@@ -90,9 +90,7 @@ def _build_swap(D, k):
     n = D.shape[0]
     # BUILD: first medoid minimizes the total dissimilarity to all points,
     # each further medoid is the point whose addition lowers it the most.
-    totals = np.empty(n)
-    for i in range(n):
-        totals[i] = D[i].sum()
+    totals = D.sum(axis=1)
     medoids = [int(np.argmin(totals))]
     nearest = D[medoids[0]].copy()
     for _ in range(1, k):

@@ -18,6 +18,8 @@ from .core import FitReport, _check_centers, normalized_distances
 
 __all__ = ["draw_seeds"]
 
+_SEED_ATTEMPTS = 16  # draws of k rows before duplicated seeds get a jitter
+
 
 def _check_seeds(seeds) -> np.ndarray:
     s = np.asarray(seeds, dtype=float)
@@ -32,15 +34,15 @@ def _check_seeds(seeds) -> np.ndarray:
     return s.copy()
 
 
-def draw_seeds(X, k, rng, attempts=16) -> np.ndarray:
+def draw_seeds(X, k, rng) -> np.ndarray:
     """Draw k pairwise distinct rows uniformly without replacement.
 
-    Datasets with duplicated rows may defeat the draw; after a bounded number
-    of attempts the duplicates get an epsilon-scale jitter instead.
+    Datasets with duplicated rows may defeat the draw; after _SEED_ATTEMPTS
+    draws the duplicates get an epsilon-scale jitter instead.
     """
     n = X.shape[0]
     idx = None
-    for _ in range(attempts):
+    for _ in range(_SEED_ATTEMPTS):
         idx = rng.choice(n, size=k, replace=False)
         s = X[idx]
         if len({row.tobytes() for row in s}) == k:

@@ -10,8 +10,7 @@ from seqclust import cer, kmeans_fit
 from seqclust.bench import (
     PRESET_NAMES,
     ExperimentSpec,
-    load_spec_file,
-    preset,
+    load_experiment,
     run_experiment,
 )
 
@@ -71,20 +70,20 @@ def test_sweep_row_grid_and_statuses():
             assert r["distance_evals"] > 0
     cs = sorted(r["c_gamma"] for r in by_algo["kmedians"] if r["replication"] == 0)
     assert cs == [1.0, 2.0]
-    assert table.all_ok()
+    assert table.failed_cells() == 0
 
 
 def test_sweep_is_deterministic_and_order_free(tmp_path):
     t1 = run_experiment(_tiny_sweep_spec())
     t2 = run_experiment(_tiny_sweep_spec())
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    t1.to_csv(p1)
-    t2.to_csv(p2)
+    t1.write(tmp_path / "a")
+    t2.write(tmp_path / "b")
+    p1, p2 = tmp_path / "a" / "tiny_results.csv", tmp_path / "b" / "tiny_results.csv"
     assert p1.read_bytes() == p2.read_bytes()
     # worker count must not change any result
     t3 = run_experiment(_tiny_sweep_spec(), jobs=2)
-    p3 = tmp_path / "c.csv"
-    t3.to_csv(p3)
+    t3.write(tmp_path / "c")
+    p3 = tmp_path / "c" / "tiny_results.csv"
     assert p3.read_bytes() == p1.read_bytes()
 
 
@@ -135,7 +134,7 @@ def test_failing_cell_is_recorded_not_fatal():
     table = run_experiment(spec)
     assert len(table.rows) == 1
     assert table.rows[0]["status"].startswith("error:")
-    assert not table.all_ok()
+    assert table.failed_cells() == 1
     assert table.summary()["failed_cells"] == 1
 
 
@@ -164,7 +163,7 @@ def test_run_experiment_dispatches_on_kind():
 
 def test_presets_build_and_reject_unknown():
     assert "fig3" in PRESET_NAMES and "table1" in PRESET_NAMES
-    spec = preset("fig3")
+    spec = load_experiment("fig3")
     assert spec.kind == "sweep"
     assert spec.generator == "sim1"
     assert spec.generator_params["n"] == 250
@@ -172,15 +171,15 @@ def test_presets_build_and_reject_unknown():
     assert spec.k == 3
     assert spec.replications == 50
     assert 1.0 in spec.c_grid
-    small = preset("fig3", replications=2, restarts=1, c_grid=[0.5])
+    small = load_experiment("fig3", replications=2, restarts=1, c_grid=[0.5])
     assert small.replications == 2 and small.restarts == 1
     assert small.c_grid == [0.5]
-    tim = preset("table1")
+    tim = load_experiment("table1")
     assert tim.measure_time and tim.sizes and tim.ks
-    with pytest.raises(ValueError, match="unknown preset"):
-        preset("fig99")
+    with pytest.raises(ValueError, match="neither a preset"):
+        load_experiment("fig99")
     with pytest.raises(ValueError, match="not supported"):
-        preset("fig3", generator="sim2")
+        load_experiment("fig3", generator="sim2")
 
 
 def test_load_spec_file_round_trip(tmp_path):
@@ -189,17 +188,17 @@ def test_load_spec_file_round_trip(tmp_path):
                algorithms=["kmeans"], restarts=2, replications=1, seed=3)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
-    spec = load_spec_file(path)
+    spec = load_experiment(path)
     assert spec.name == "fromfile"
     assert spec.k == 2
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([1, 2]))
     with pytest.raises(ValueError, match="JSON object"):
-        load_spec_file(bad)
+        load_experiment(bad)
     bad2 = tmp_path / "bad2.json"
     bad2.write_text(json.dumps(dict(doc, bogus_field=1)))
     with pytest.raises(ValueError, match="bad spec fields"):
-        load_spec_file(bad2)
+        load_experiment(bad2)
 
 
 def test_perfectly_separated_clusters_reach_zero_cer():

@@ -388,3 +388,19 @@ def test_bench_rejects_scalar_fields_of_the_wrong_type(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field} must be an integer >= 1, got {value!r}"), err
         assert not outdir.exists()
+
+
+def test_every_json_file_shares_one_format(tmp_path, capsys):
+    # the model, the eval metrics, the dataset sidecar and the bench summary
+    # are all sorted-key, indent-1 JSON ending in one newline
+    data = _gen_sim1(tmp_path)
+    model, metrics = tmp_path / "m.json", tmp_path / "metrics.json"
+    assert main(["fit", "--algorithm", "kmedians", "--c-gamma", "2", "--data", str(data),
+                 "--k", "3", "--restarts", "2", "-o", str(model)]) == 0
+    assert main(["eval", "--model", str(model), "--data", str(data), "-o", str(metrics)]) == 0
+    assert main(["bench", "fig6", "--replications", "1", "--restarts", "1",
+                 "-o", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    for path in (model, metrics, tmp_path / "data.json", tmp_path / "b" / "fig6_summary.json"):
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", path
