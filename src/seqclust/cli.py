@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import __version__
 from .bench import ALGORITHMS, OVERRIDES, PRESET_NAMES, fit, load_experiment, run_experiment
@@ -149,6 +150,8 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     spec = load_experiment(args.experiment,
                            **{key: getattr(args, key, None) for key in OVERRIDES})
+    if args.jobs >= 1:  # run_experiment rejects the rest; fail before any cell runs
+        Path(args.outdir).mkdir(parents=True, exist_ok=True)
     table = run_experiment(spec, jobs=args.jobs)
     for path in table.write(args.outdir):
         print(f"wrote {path}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FitReport, as_sample
-from .recursion import _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
+from .recursion import _SCALAR_EXACT_D, _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
 
 __all__ = ["KMeansState", "kmeans_init", "kmeans_step", "kmeans_fit"]
 
@@ -33,7 +33,7 @@ def kmeans_init(seeds) -> KMeansState:
 def _run_numpy(centers, counts, X) -> None:
     """MacQueen's update over the rows of X, walked with numpy, in place."""
     cnt = counts.tolist()
-    for _, r, _, diff in _numpy_walk(centers, X):
+    for r, _, diff in _numpy_walk(centers, X):
         row = centers[r]
         np.subtract(row, np.divide(diff, 1.0 + cnt[r], out=diff), out=row)
         cnt[r] += 1
@@ -61,7 +61,7 @@ def _run_restarts(centers, counts, X, perms) -> None:
     flat = centers.reshape(-1, centers.shape[2])
     flat_counts = counts.reshape(-1)
     chosen = np.empty((centers.shape[0], centers.shape[2]))
-    for _, i, _, diff in _batched_walk(centers, X, perms):
+    for i, _, diff in _batched_walk(centers, X, perms):
         n_i = flat_counts[i]
         np.divide(diff, (1.0 + n_i)[:, None], out=diff)
         flat[i] = np.subtract(flat.take(i, axis=0, out=chosen, mode="clip"), diff, out=chosen)
@@ -101,11 +101,10 @@ def kmeans_fit(
     def run_all(S, X, perms):
         centers = S.copy()
         counts = np.ones(S.shape[:2], dtype=np.int64)
-        # the scalar walk sums as numpy does only up to d=7 (at d=8 it could
-        # break a near-tie unlike kmeans_step); batching measured faster at any d
+        # the scalar walk is exact only up to _SCALAR_EXACT_D; batching measured faster at any d
         if len(S) > 1:
             _run_restarts(centers, counts, X, perms)
-        elif X.shape[1] > 7:
+        elif X.shape[1] > _SCALAR_EXACT_D:
             _run_numpy(centers[0], counts[0], X if perms is None else X[next(perms)])
         else:
             _run_scalar(centers[0], counts[0], X if perms is None else X[next(perms)])

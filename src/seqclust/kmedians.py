@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
+_SCALAR_MAX_D = 8  # one past recursion._SCALAR_EXACT_D: the numpy loop ran 3.4x slower at d=8
 
 
 def _unbounded(r, nr, bound, max_step, where="") -> AssertionError:
@@ -136,8 +137,7 @@ def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
 
 
 def _gain_powers(gain: GainConfig, us) -> np.ndarray:
-    """p[i] = (1 + c_alpha*us[i])**alpha, each taken with scalar pow like the
-    per-row loops: vectorised ** differs from it by 1 ulp on some entries."""
+    """p[i] = (1 + c_alpha*us[i])**alpha in the per-row loops' scalar pow (recursion's rules)."""
     c_alpha, alpha = float(gain.c_alpha), float(gain.alpha)
     return np.array([(1.0 + c_alpha * int(u)) ** alpha for u in us], dtype=float)
 
@@ -145,11 +145,10 @@ def _gain_powers(gain: GainConfig, us) -> np.ndarray:
 def _consume(state: KMediansState, X) -> None:
     """Feed rows of X through the recursion of one state, mutating it in
     place: the kernel of kmedians_stream, kmedians_step and of fits with a
-    single restart or d <= 8 (several restarts at d > 8 run
-    _consume_restarts). Up to d=8 the scalar loop runs, the hot path of
-    every 2-d benchmark. The gain is taken in Python floats, whose sqrt, pow
-    and division give the bits numpy's scalars do."""
-    if state.raw.shape[1] <= 8:
+    single restart or d <= _SCALAR_MAX_D, where every path runs the scalar
+    loop (the hot path of every 2-d benchmark). The gain is taken in Python
+    floats, whose sqrt, pow and division give the bits numpy's scalars do."""
+    if state.d <= _SCALAR_MAX_D:
         _consume_small(state, np.asarray(X, dtype=float))
         return
     raw = state.raw
@@ -162,7 +161,7 @@ def _consume(state: KMediansState, X) -> None:
     bound = state.bound_K
     skips = 0
     max_step = None if bound is None else state.max_step
-    for _, r, sq, diff in _numpy_walk(raw, X):
+    for r, sq, diff in _numpy_walk(raw, X):
         nrm = math.sqrt(sq / d)
         if nrm == 0.0:
             skips += 1
@@ -188,7 +187,7 @@ def _consume(state: KMediansState, X) -> None:
 
 
 def _consume_small(state: KMediansState, X) -> None:
-    """Scalar twin of the numpy loop for d <= 8, with the same bits up to d=7."""
+    """Scalar twin of the numpy loop, with its bits up to d = recursion._SCALAR_EXACT_D."""
     d = state.raw.shape[1]
     raw = state.raw.tolist()
     avg = state.averaged.tolist()
@@ -250,7 +249,7 @@ def _consume_restarts(states, X, perms) -> None:
     flat_raw, flat_avg = raw.reshape(R * k, d), avg.reshape(R * k, d)
     flat_counts = counts.reshape(R * k)
     new_buf, mean_buf = np.empty((R, d)), np.empty((R, d))
-    for _, i, sq, diff in _batched_walk(raw, X, perms):
+    for i, sq, diff in _batched_walk(raw, X, perms):
         nrm = np.sqrt(sq[i] / d)
         live = nrm != 0.0
         if live.all():
@@ -288,11 +287,6 @@ def _consume_restarts(states, X, perms) -> None:
         st.skips += int(skips[j])
 
 
-def _copy_state(state: KMediansState) -> KMediansState:
-    return KMediansState(state.raw.copy(), state.averaged.copy(), state.update_counts.copy(),
-                         state.gain, state.bound_K, state.skips)
-
-
 def kmedians_step(state: KMediansState, z) -> KMediansState:
     """Consume one observation, returning the new state (input left untouched)."""
     z = np.asarray(z, dtype=float)
@@ -308,7 +302,8 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
         raise ValueError("kmedians_stream: expected (m, d) batch matching the state")
     if not np.isfinite(X).all():
         raise ValueError("kmedians_stream: non-finite observations")
-    out = _copy_state(state)
+    out = KMediansState(state.raw.copy(), state.averaged.copy(), state.update_counts.copy(),
+                        state.gain, state.bound_K, state.skips)
     _consume(out, X)
     return out
 
@@ -327,20 +322,19 @@ def kmedians_fit(
     """One pass of averaged k-medians, best of `restarts` by the L1 risk of
     the averaged centers. Explicit `seeds` (shape (k, d)) make a single run."""
     X = as_sample(data, k)
-    if gain is None:
-        gain = GainConfig()
-    gain.c_vector(k)
-    bound_K = float(np.sqrt((X * X).mean(axis=1)).max()) if bound_check else None
+    gain = GainConfig() if gain is None else gain
 
     def run_all(S, X, perms):
+        # the bound covers the seeds too: draw_seeds' jitter may leave the rows' ball
+        norms = (np.sqrt((A * A).mean(axis=-1)).max() for A in (X, S))
+        bound_K = float(max(norms)) if bound_check else None
         states = [kmedians_init(s, gain, bound_K=bound_K) for s in S]
-        batched = X.shape[1] > 8 and len(states) > 1
-        if batched:
+        if len(states) > 1 and X.shape[1] > _SCALAR_MAX_D:
             _consume_restarts(states, X, perms)
-        for st in states:
-            if not batched:
+        else:
+            for st in states:
                 _consume(st, X if perms is None else X[next(perms)])
-            yield st.averaged, st
+        return [(st.averaged, st) for st in states]
 
     report, st = _fit_restarts("kmedians", X, k, run_all, seeds=seeds,
                                restarts=restarts, seed=seed, shuffle=shuffle)

@@ -113,10 +113,7 @@ def _build_swap(D, k):
         improved = False
         member = set(medoids)
         for mi in range(k):
-            if k > 1:
-                others = np.minimum.reduce([D[m] for j, m in enumerate(medoids) if j != mi])
-            else:
-                others = np.full(n, np.inf)
+            others = np.minimum.reduce([D[m] for j, m in enumerate(medoids) if j != mi], initial=np.inf)
             for o in range(n):
                 if o in member:
                     continue

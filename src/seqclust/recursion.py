@@ -20,6 +20,12 @@ __all__ = ["draw_seeds"]
 
 _SEED_ATTEMPTS = 16  # draws of k rows before duplicated seeds get a jitter
 
+# numpy adds up to 7 terms along a contiguous axis left to right and 8 or more in
+# pairs, along a non-contiguous axis left to right at any length, and its ** can
+# differ from scalar pow by 1 ulp (tests/test_kmeans.py pins these rules). The loop
+# shapes agree bit for bit within these rules: the scalar walk's sums are numpy's up to
+_SCALAR_EXACT_D = 7
+
 
 def _check_seeds(seeds) -> np.ndarray:
     s = np.asarray(seeds, dtype=float)
@@ -69,10 +75,10 @@ def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
     `perms` (None without `shuffle`); as every restart has its own stream,
     the draws do not depend on how the restarts are run. run_all(S, X, perms)
     streams the rows through the (R, k, d) seed block S, restart i in the
-    i-th row order, with the kernel each fit finds fastest, and returns or
-    yields one (centers, state) per restart. Each restart's centers are
-    scored by empirical L1 risk. Returns the report of the lowest-risk
-    restart with the fields both fits share, and that restart's state.
+    i-th row order, with the kernel each fit finds fastest, and returns one
+    (centers, state) per restart. Each restart's centers are scored by
+    empirical L1 risk. Returns the report of the lowest-risk restart with
+    the fields both fits share, and that restart's state.
     """
     t0 = time.perf_counter()
     n, d = X.shape
@@ -120,7 +126,7 @@ def _scalar_walk(centers, X):
     list, its nearest center's index and their squared distance. The caller
     updates `centers`, a list of k lists, in place, so the next row sees the
     update. Fastest at small k*d, where numpy's per-call overhead outweighs
-    the arithmetic. Sums run left to right: numpy's order up to 7 terms."""
+    the arithmetic. Its sums are numpy's only up to d = _SCALAR_EXACT_D."""
     ks = range(len(centers))
     ds = range(X.shape[1])  # built once: a range per row and center cost ~20% at d=2
     for z in X.tolist():
@@ -139,7 +145,7 @@ def _scalar_walk(centers, X):
 
 
 def _numpy_walk(centers, X):
-    """Yield (z, r, sq, diff) per row z of X, in order: its nearest center's
+    """Yield (r, sq, diff) per row z of X, in order: its nearest center's
     index, their squared distance and diff = centers[r] - z. The caller
     updates the (k, d) array `centers` in place, so the next row sees it.
     diff is a row of a buffer the walk refills each row, which the caller may
@@ -152,7 +158,7 @@ def _numpy_walk(centers, X):
         np.multiply(diffs, diffs, out=squares)
         np.add.reduce(squares, axis=1, out=sq)  # what .sum(axis=1) runs: the same bits
         r = int(sq.argmin())
-        yield z, r, sq.item(r), diffs[r]
+        yield r, sq.item(r), diffs[r]
 
 
 def _batched_walk(centers, X, perms):
@@ -160,7 +166,7 @@ def _batched_walk(centers, X, perms):
     numpy calls per row. The caller updates the contiguous (R, k, d) block
     `centers` in place, through its (R*k, d) view, so the next row sees it.
     Restart i reads the rows in the i-th of the R row orders `perms` if given.
-    Yields (z, i, sq, diff): i the (R,) flat indices of each restart's nearest
+    Yields (i, sq, diff): i the (R,) flat indices of each restart's nearest
     center, sq all R*k squared distances (k-means needs none, so no gather)
     and diff the (R, d) rows i of centers - z, each as _numpy_walk computes
     it. sq and diff are buffers the walk refills each row, and the caller may
@@ -181,4 +187,4 @@ def _batched_walk(centers, X, perms):
         i = base + sq.argmin(axis=1)
         # i is in range, and mode="raise" would fill `out` through a buffer
         flat_diffs.take(i, axis=0, out=diff, mode="clip")
-        yield z, i, flat_sq, diff
+        yield i, flat_sq, diff

@@ -53,6 +53,12 @@ def test_validate_rejects_bad_specs():
                          generator_params={"n": 60}).validate()
     with pytest.raises(ValueError, match="positive"):
         _tiny_sweep_spec(c_grid=[1.0, -2.0]).validate()
+    with pytest.raises(ValueError, match="empty algorithm list"):
+        _tiny_sweep_spec(algorithms=[]).validate()
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        _tiny_sweep_spec(seed=-1).validate()
+    with pytest.raises(ValueError, match=r"generator_params must set n \(or provide sizes\)"):
+        _tiny_sweep_spec(generator_params={"epsilon": 0.05}).validate()
 
 
 def test_sweep_row_grid_and_statuses():

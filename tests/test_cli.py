@@ -17,6 +17,7 @@ import seqclust
 from seqclust import (GainConfig, Sim1Config, Sim2Config, kmeans_fit, kmedians_fit,
                       kmedians_fit_data_driven, pam_fit, profiles_sample, read_csv,
                       save_dataset, sim1_sample, sim2_sample, write_model)
+from seqclust import bench
 from seqclust.bench import ExperimentSpec, run_experiment
 from seqclust.cli import main
 
@@ -228,6 +229,19 @@ def test_bench_rejects_invalid_spec_file(tmp_path, capsys):
     assert "replications" in capsys.readouterr().err
 
 
+def test_bench_exits_1_when_cells_fail(tmp_path, capsys):
+    # n=4 < k=5 makes every fit raise; the files are still written
+    spec = dict(name="fails", kind="sweep", generator="sim1",
+                generator_params={"n": 4}, k=5, algorithms=["kmeans", "pam"],
+                restarts=1, replications=2)
+    spec_path = tmp_path / "fails.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["bench", str(spec_path), "-o", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "4 cell(s) failed\n"
+    assert "fails_results.csv" in out and (tmp_path / "fails_summary.json").exists()
+
+
 def test_bench_rejects_unknown_experiment(tmp_path, capsys):
     rc = main(["bench", "fig99", "-o", str(tmp_path)])
     assert rc == 1
@@ -336,7 +350,7 @@ def test_bench_output_matches_run_experiment(tmp_path):
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
-def test_missing_or_unwritable_paths_are_errors(tmp_path, capsys):
+def test_missing_or_unwritable_paths_are_errors(tmp_path, capsys, monkeypatch):
     data = _gen_sim1(tmp_path)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(dict(
@@ -354,11 +368,15 @@ def test_missing_or_unwritable_paths_are_errors(tmp_path, capsys):
         (["bench", str(tmp_path), "-o", str(tmp_path / "out")], tmp_path),
         (["bench", str(spec_path), "-o", str(a_file / "out")], a_file / "out"),
     ]
+    fits = []
+    monkeypatch.setattr(bench, "fit", lambda *a, **kw: fits.append(a))
     capsys.readouterr()
     for argv, path in cases:
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err, (argv, err)
+    # an output directory that cannot be made fails the bench before any cell runs
+    assert fits == []
 
 
 def test_bench_rejects_grid_values_below_one_before_running(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,10 @@ def test_nearest_center_scale_invariance():
 def test_nearest_center_dimension_mismatch():
     with pytest.raises(ValueError):
         nearest_center([1.0, 2.0, 3.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="X must be a 2-d array"):
+        normalized_distances([1.0, 2.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="dimension mismatch: data has d=3, centers have d=2"):
+        normalized_distances([[1.0, 2.0, 3.0]], [[1.0, 2.0]])
 
 
 def test_normalized_distances_matches_brute_force():
@@ -217,6 +222,22 @@ def test_csv_roundtrip_plain(tmp_path):
     np.testing.assert_array_equal(back.X, ds.X)
     assert back.labels is None
     assert back.outlier_flags is None
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("x1,x2\n1.0,abc\n", "could not parse numeric data"),
+    ("x1,x2\n", "no data rows"),
+    ("x1,x2,x3\n1.0,2.0\n", "header names 3 columns, rows have 2"),
+    ("label,outlier\n0,1\n", "no feature columns"),
+    ("x1,outlier\n1.0,2\n", "outlier column must be 0/1"),
+], ids=["empty", "unparsable", "no-rows", "columns", "no-features", "outlier-flag"])
+def test_read_csv_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_csv(path)
 
 
 def test_model_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ from seqclust import (
     kmeans_init,
     kmeans_step,
 )
+from seqclust.recursion import _SCALAR_EXACT_D
 
 
 def test_init_sets_seeds_and_unit_counts():
@@ -49,8 +50,10 @@ def test_step_moves_only_nearest_center():
 
 def test_step_dimension_mismatch():
     state = kmeans_init([[0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kmeans_step: dimension mismatch"):
         kmeans_step(state, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="kmeans_step: non-finite observation"):
+        kmeans_step(state, [1.0, np.nan])
 
 
 def test_single_cluster_closed_form():
@@ -117,6 +120,37 @@ def test_fit_at_d8_breaks_near_ties_like_kmeans_step():
     report = kmeans_fit(Dataset(X=X), 4, seeds=X[:4])
     assert report.centers.tobytes() == state.centers.tobytes()
     assert report.counts.tobytes() == state.counts.tobytes()
+
+
+def _left_to_right(rows):
+    sums = []
+    for row in rows.tolist():
+        s = 0.0
+        for t in row:
+            s += t
+        sums.append(s)
+    return np.array(sums)
+
+
+def test_numpy_summation_rules():
+    # the rules recursion.py states and every loop-shape agreement rests on
+    where = f"recursion._SCALAR_EXACT_D = {_SCALAR_EXACT_D}, numpy {np.__version__}"
+    rng = np.random.default_rng(7)
+    for d in range(1, _SCALAR_EXACT_D + 2):
+        A = rng.standard_normal((2000, d)) ** 2  # squared differences, as the walks sum them
+        same = np.add.reduce(A, axis=1) == _left_to_right(A)
+        if d <= _SCALAR_EXACT_D:
+            assert same.all(), f"{d} contiguous terms are not added left to right ({where})"
+        else:
+            assert not same.all(), f"{d} contiguous terms are added left to right ({where})"
+    for m in (8, 9, 50, 300):
+        A = rng.standard_normal((m, 40))
+        assert (np.add.reduce(A, axis=0) == _left_to_right(A.T)).all(), (
+            f"a non-contiguous axis of {m} terms is not added left to right ({where})")
+    base = 1.0 + 0.37 * np.arange(20000.0)
+    scalar = np.array([b ** 0.75 for b in base.tolist()])
+    ulps = np.abs(scalar.view(np.int64) - (base ** 0.75).view(np.int64))
+    assert ulps.max() <= 1, f"scalar pow and ** differ by {ulps.max()} ulp ({where})"
 
 
 def test_kmeans_step_chain_equals_single_restart_fit():

@@ -177,6 +177,13 @@ def test_boundedness_invariant_randomized():
             Dataset(X=X), 3, GainConfig(c_gamma=c), restarts=2, seed=int(c * 10),
             bound_check=True,
         )
+    # draw_seeds jitters duplicated rows, so a seed may lie just outside the
+    # rows' ball (here by about 2e-11), and explicit seeds anywhere: the fit's
+    # bound covers the seeds as well as the rows
+    for d in (2, 12):
+        kmedians_fit(np.full((50, d), 1e4), 3, restarts=3, seed=1, bound_check=True)
+    X = rng.uniform(-1.0, 1.0, size=(200, 2))
+    kmedians_fit(X, 2, seeds=[[0.0, 0.0], [50.0, 50.0]], bound_check=True)
 
 
 @pytest.mark.parametrize("d, restarts, message", [
@@ -401,6 +408,28 @@ def test_fits_equal_their_restart_by_restart_rebuild(d, shuffle, gain, bound_che
     assert (km.restart, km.risk) == (ridx, risk)
     assert km.centers.tobytes() == one.centers.tobytes()
     assert km.counts.tobytes() == one.counts.tobytes()
+
+
+def test_stream_entry_points_reject_bad_input_naming_the_problem(tmp_path):
+    state = kmedians_init([[0.0, 0.0], [1.0, 1.0]], GainConfig())
+    X = np.random.default_rng(36).standard_normal((20, 2))
+    write_model(kmeans_fit(Dataset(X=X), 2, restarts=1, seed=0), tmp_path / "km.json")
+    batch = r"kmedians_stream: expected \(m, d\) batch matching the state"
+    for call, message in (
+        (lambda: kmedians_step(state, [1.0, 2.0, 3.0]), "kmedians_step: dimension mismatch"),
+        (lambda: kmedians_stream(state, np.zeros((4, 3))), batch),
+        (lambda: kmedians_stream(state, np.zeros(2)), batch),
+        (lambda: kmedians_stream(state, [[0.0, 0.0], [np.inf, 1.0]]),
+         "kmedians_stream: non-finite observations"),
+        (lambda: kmedians_init([[0.0, 0.0], [3.0, 4.0]], GainConfig(), bound_K=1.0),
+         "seed norm 3.53553 exceeds bound_K=1"),
+        (lambda: mc_gradient(np.zeros((2, 3)), X),
+         r"mc_gradient: centers \(k, d\) and sample \(n, d\) must match"),
+        (lambda: state_from_model(read_model(tmp_path / "km.json")),
+         "model has no raw centers; only k-medians fits are resumable"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit], ids=["kmeans", "kmedians"])

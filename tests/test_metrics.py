@@ -48,6 +48,8 @@ def test_risk_matches_brute_force_mean():
 def test_risk_accepts_bare_arrays():
     X = np.array([[1.0, 1.0], [3.0, 1.0]])
     assert empirical_l1_risk(X, np.array([[1.0, 1.0]])) > 0.0
+    with pytest.raises(ValueError, match=r"empirical_l1_risk: need a non-empty \(n, d\) sample"):
+        empirical_l1_risk(np.empty((0, 2)), np.array([[1.0, 1.0]]))
 
 
 def test_cer_three_point_example():
@@ -138,3 +140,5 @@ def test_cer_exclusion_matches_subsetting():
 def test_cer_length_mismatch():
     with pytest.raises(ValueError):
         cer([0, 1], [0, 1, 2])
+    with pytest.raises(ValueError, match="cer: outlier_flags length mismatch"):
+        cer([0, 1, 1], [0, 1, 2], [False, True])

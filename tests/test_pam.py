@@ -72,11 +72,14 @@ def test_build_swap_ends_at_a_swap_local_optimum():
 
 
 def test_k1_medoid_minimizes_row_sums():
-    rng = np.random.default_rng(41)
-    X = rng.standard_normal((60, 3))
-    report = pam_fit(Dataset(X=X), 1)
-    D = normalized_distances(X, X)
-    assert report.medoid_indices[0] == int(D.sum(axis=0).argmin())
+    # n=60 is solved by enumeration; n=1001 has more than _EXACT_LIMIT subsets,
+    # so BUILD+SWAP runs, with no other medoid for a swap to keep
+    for X in (np.random.default_rng(41).standard_normal((60, 3)),
+              np.random.default_rng(3).standard_normal((1001, 2))):
+        report = pam_fit(Dataset(X=X), 1)
+        D = normalized_distances(X, X)
+        assert report.medoid_indices[0] == int(D.sum(axis=1).argmin())
+    assert report.medoid_indices[0] == 631
 
 
 def test_report_consistency():
