@@ -69,6 +69,15 @@ class ExperimentSpec:
     ks: list = None                # optional k grid overriding k
 
     def validate(self) -> "ExperimentSpec":
+        for name in ("name", "kind", "generator"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.generator_params, dict):
+            raise ValueError(f"generator_params must be an object, got {self.generator_params!r}")
+        for name in ("algorithms", "sizes", "ks", "c_grid"):  # only the grids may be None
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)) and (v is not None or name == "algorithms"):
+                raise ValueError(f"{name} must be a list, got {v!r}")
         if self.kind not in ("sweep", "cer"):
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.generator not in GENERATORS:

@@ -245,7 +245,9 @@ def read_csv(path) -> Dataset:
             raise ValueError(f"{path}: empty file")
         names = [c.strip() for c in header.split(",")]
         try:
-            raw = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a file without rows gets the error below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                raw = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ValueError(f"{path}: could not parse numeric data ({exc})") from exc
     if raw.shape[0] == 0:
@@ -271,44 +273,34 @@ def read_csv(path) -> Dataset:
 # Model snapshot files (JSON). Deterministic for a fixed fit: no timing fields.
 
 
-def _arr(a):
-    return None if a is None else np.asarray(a).tolist()
+# What a model file stores of a FitReport: these fields as they are, and these
+# arrays, which read_model restores to their dtypes.
+_MODEL_FIELDS = ("algorithm", "k", "d", "risk", "restart", "restarts", "rng_seed", "skips",
+                 "n_queries", "n_updates", "c_gamma", "c_alpha", "alpha")
+_MODEL_ARRAYS = {"centers": float, "seeds": float, "raw_centers": float,
+                 "counts": np.int64, "update_counts": np.int64, "medoid_indices": np.int64}
 
 
 def write_model(report: FitReport, path) -> None:
     """Serialize a fit to JSON. Holds everything needed to resume a k-medians
     stream bit-exactly (gain config, seeds, raw and averaged centers, counts)."""
-    doc = {
-        "format": "seqclust-model",
-        "version": 1,
-        "algorithm": report.algorithm,
-        "k": int(report.k),
-        "d": int(report.d),
-        "centers": _arr(report.centers),
-        "risk": float(report.risk),
-        "restart": int(report.restart),
-        "restarts": int(report.restarts),
-        "rng_seed": report.rng_seed,
-        "skips": int(report.skips),
-        "n_queries": int(report.n_queries),
-        "n_updates": int(report.n_updates),
-        "counts": _arr(report.counts),
-        "seeds": _arr(report.seeds),
-        "raw_centers": _arr(report.raw_centers),
-        "update_counts": _arr(report.update_counts),
-        "c_gamma": _arr(report.c_gamma) if isinstance(report.c_gamma, np.ndarray) else report.c_gamma,
-        "c_alpha": report.c_alpha,
-        "alpha": report.alpha,
-        "medoid_indices": _arr(report.medoid_indices),
-    }
-    _write_json(doc, path)
+    doc = {key: getattr(report, key) for key in (*_MODEL_FIELDS, *_MODEL_ARRAYS)}
+    _write_json(dict(doc, format="seqclust-model", version=1), path)
+
+
+def _plain(obj):
+    """JSON form of a numpy array or scalar, at any depth of a document."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(doc, path) -> None:
-    """Every JSON file the package writes: sorted keys, indent 1, final newline."""
+    """Every JSON file the package writes: sorted keys, indent 1, final newline.
+    The text is built before the file is opened, so a failed encode writes nothing."""
+    text = json.dumps(doc, sort_keys=True, indent=1, default=_plain)
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_model(path) -> dict:
@@ -320,10 +312,7 @@ def read_model(path) -> dict:
         raise ValueError(f"{path}: model has no centers")
     if not isinstance(doc.get("algorithm"), str):
         raise ValueError(f"{path}: model has no algorithm name")
-    for key in ("centers", "seeds", "raw_centers"):
+    for key, dtype in _MODEL_ARRAYS.items():
         if doc.get(key) is not None:
-            doc[key] = np.asarray(doc[key], dtype=float)
-    for key in ("update_counts", "counts", "medoid_indices"):
-        if doc.get(key) is not None:
-            doc[key] = np.asarray(doc[key], dtype=np.int64)
+            doc[key] = np.asarray(doc[key], dtype=dtype)
     return doc

@@ -27,16 +27,22 @@ _SEED_ATTEMPTS = 16  # draws of k rows before duplicated seeds get a jitter
 _SCALAR_EXACT_D = 7
 
 
+def _row_keys(s) -> list:
+    """One key per row of the float array s, equal for rows equal in value:
+    adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is."""
+    return [row.tobytes() for row in s + 0.0]
+
+
 def _check_seeds(seeds) -> np.ndarray:
     s = np.asarray(seeds, dtype=float)
     if not np.all(np.isfinite(s)):
         raise ValueError("seeds contain non-finite values")
     s = _check_centers(s)
-    k = s.shape[0]
-    for a in range(k):
-        for b in range(a + 1, k):
-            if np.array_equal(s[a], s[b]):
-                raise ValueError(f"seeds {a} and {b} coincide; seeds must be pairwise distinct")
+    keys = _row_keys(s)
+    for a in range(len(keys)):
+        if keys[a] in keys[a + 1:]:
+            b = keys.index(keys[a], a + 1)
+            raise ValueError(f"seeds {a} and {b} coincide; seeds must be pairwise distinct")
     return s.copy()
 
 
@@ -51,14 +57,13 @@ def draw_seeds(X, k, rng) -> np.ndarray:
     for _ in range(_SEED_ATTEMPTS):
         idx = rng.choice(n, size=k, replace=False)
         s = X[idx]
-        if len({row.tobytes() for row in s}) == k:
+        if len(set(_row_keys(s))) == k:
             return s.copy()
     s = X[idx].astype(float).copy()
     scale = max(1.0, float(np.abs(s).max())) * np.finfo(float).eps * 8
-    while len({row.tobytes() for row in s}) < k:
+    while len(set(_row_keys(s))) < k:
         seen = set()
-        for i in range(k):
-            key = s[i].tobytes()
+        for i, key in enumerate(_row_keys(s)):
             if key in seen:
                 s[i] = s[i] + rng.standard_normal(s.shape[1]) * scale
             seen.add(key)

@@ -2,6 +2,7 @@
 determinism of results files, and the timing/CER variants."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,27 @@ def test_validate_rejects_sizes_and_ks_below_one():
         with pytest.raises(ValueError,
                            match=f"{grid} entries must be integers >= 1, got {values[-1]!r}"):
             _tiny_sweep_spec(**{grid: values}).validate()
+
+
+def test_validate_rejects_containers_of_the_wrong_type():
+    for field, value, message in (
+            ("sizes", 5, "sizes must be a list, got 5"),
+            ("ks", 3, "ks must be a list, got 3"),
+            ("c_grid", 2, "c_grid must be a list, got 2"),
+            ("algorithms", "kmeans", "algorithms must be a list, got 'kmeans'"),
+            ("name", 5, "name must be a string, got 5"),
+            ("kind", ["sweep"], "kind must be a string, got ['sweep']"),
+            ("generator", ["sim1"], "generator must be a string, got ['sim1']"),
+            ("generator_params", [1], "generator_params must be an object, got [1]")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _tiny_sweep_spec(**{field: value}).validate()
+
+
+def test_numpy_integers_in_a_spec_write_the_same_files(tmp_path):
+    for name, reps in (("int", 1), ("int64", np.int64(1))):
+        run_experiment(_tiny_sweep_spec(replications=reps)).write(tmp_path / name)
+    for name in ("tiny_results.csv", "tiny_summary.json"):
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "int64" / name).read_bytes()
 
 
 def test_run_experiment_rejects_jobs_below_one():

@@ -408,6 +408,21 @@ def test_bench_rejects_scalar_fields_of_the_wrong_type(tmp_path, capsys):
         assert not outdir.exists()
 
 
+def test_bench_rejects_containers_of_the_wrong_type(tmp_path, capsys):
+    base = dict(name="t", kind="sweep", generator="sim1", generator_params={"n": 30}, k=2,
+                algorithms=["kmeans"], restarts=1, replications=1)
+    outdir = tmp_path / "out"
+    for field, value, problem in (("sizes", 5, "must be a list"),
+                                  ("c_grid", 2, "must be a list"),
+                                  ("generator", ["sim1"], "must be a string"),
+                                  ("generator_params", [1], "must be an object")):
+        spec_path = tmp_path / f"{field}.json"
+        spec_path.write_text(json.dumps({**base, field: value}))
+        assert main(["bench", str(spec_path), "-o", str(outdir)]) == 1, (field, value)
+        assert capsys.readouterr().err == f"error: {field} {problem}, got {value!r}\n"
+        assert not outdir.exists()
+
+
 def test_every_json_file_shares_one_format(tmp_path, capsys):
     # the model, the eval metrics, the dataset sidecar and the bench summary
     # are all sorted-key, indent-1 JSON ending in one newline

@@ -22,7 +22,7 @@ from seqclust import (
     write_csv,
     write_model,
 )
-from seqclust.core import _BLOCK_BYTES
+from seqclust.core import _BLOCK_BYTES, _write_json
 
 
 def test_normalized_norm_all_ones():
@@ -224,7 +224,6 @@ def test_csv_roundtrip_plain(tmp_path):
     assert back.outlier_flags is None
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
 @pytest.mark.parametrize("text, message", [
     ("", "empty file"),
     ("x1,x2\n1.0,abc\n", "could not parse numeric data"),
@@ -254,6 +253,29 @@ def test_model_roundtrip(tmp_path):
     # wall time must never enter the snapshot: snapshots are deterministic
     raw = json.loads(path.read_text())
     assert "wall_time" not in raw
+
+
+def test_model_bytes_do_not_depend_on_numpy_scalar_types(tmp_path):
+    X = np.random.default_rng(8).standard_normal((40, 2))
+    paths = [tmp_path / "int.json", tmp_path / "int64.json"]
+    for seed, path in zip((5, np.int64(5)), paths):
+        write_model(kmeans_fit(X, 3, seed=seed), path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_write_json_encodes_numpy_at_any_depth(tmp_path):
+    path = tmp_path / "doc.json"
+    _write_json({"a": [np.int64(1), {"b": np.float32(0.5), "c": np.bool_(True)}],
+                 "d": np.arange(3), "e": np.float64(0.1)}, path)
+    assert json.loads(path.read_text()) == {"a": [1, {"b": 0.5, "c": True}],
+                                            "d": [0, 1, 2], "e": 0.1}
+
+
+def test_failed_json_write_leaves_no_file(tmp_path):
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        _write_json({"x": object()}, path)
+    assert not path.exists()
 
 
 def test_model_rejects_foreign_json(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the synthetic data generators."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def test_save_dataset_sidecar(tmp_path):
     back = read_csv(csv_path)
     np.testing.assert_array_equal(back.X, ds.X)
     np.testing.assert_array_equal(back.labels, ds.labels)
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(Path(sidecar).read_text())
     assert meta["generator"] == "sim1"
     assert meta["params"] == {"n": 30, "epsilon": 0.1, "seed": 8}
     assert meta["rng"] == "numpy-pcg64"

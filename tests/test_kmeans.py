@@ -12,6 +12,7 @@ from seqclust import (
     kmeans_fit,
     kmeans_init,
     kmeans_step,
+    kmedians_fit,
 )
 from seqclust.recursion import _SCALAR_EXACT_D
 
@@ -225,6 +226,19 @@ def test_draw_seeds_jitters_duplicated_rows():
     s = draw_seeds(X, 3, rng)
     assert len({row.tobytes() for row in s}) == 3
     assert np.allclose(s, 1.0, atol=1e-16 * 100)
+
+
+def test_rows_equal_in_value_are_one_seed():
+    # 0.0 == -0.0: the two rows differ in bytes but are the same point, so the
+    # draw jitters one of them and every fit starts from two distinct centers
+    X = np.array([[0.0, 1.0], [-0.0, 1.0]])
+    s = draw_seeds(X, 2, np.random.default_rng(0))
+    assert not np.array_equal(s[0], s[1])
+    for fit in (kmeans_fit, kmedians_fit):
+        report = fit(X, 2, restarts=1, seed=0)
+        assert not np.array_equal(report.seeds[0], report.seeds[1]), fit.__name__
+    with pytest.raises(ValueError, match="seeds 0 and 1 coincide"):
+        kmeans_init(X)
 
 
 def test_counter_scales_linearly_in_n():
