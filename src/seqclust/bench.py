@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import _write_json
-from .datagen import GENERATORS, generate
+from .datagen import GENERATORS, _param_names, generate
 from .kmeans import kmeans_fit
 from .kmedians import GainConfig, kmedians_fit, kmedians_fit_data_driven
 from .metrics import cer
@@ -74,6 +74,10 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not isinstance(self.generator_params, dict):
             raise ValueError(f"generator_params must be an object, got {self.generator_params!r}")
+        # the name is a file stem inside the output directory, never a path
+        if self.name in ("", ".", "..") or any(sep and sep in self.name
+                                               for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"name must be a file name without a directory, got {self.name!r}")
         for name in ("algorithms", "sizes", "ks", "c_grid"):  # only the grids may be None
             v = getattr(self, name)
             if not isinstance(v, (list, tuple)) and (v is not None or name == "algorithms"):
@@ -82,6 +86,14 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
+        takes = _param_names(self.generator) - {"seed"}
+        for key in self.generator_params:
+            if key == "seed":
+                raise ValueError("generator_params must not set seed: each cell's data seed "
+                                 "derives from the spec's seed")
+            if key not in takes:
+                raise ValueError(f"generator_params key {key!r} is not a {self.generator} "
+                                 f"parameter (takes {', '.join(sorted(takes))})")
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {a!r}")

@@ -49,8 +49,15 @@ def _check_centers(centers) -> np.ndarray:
     return c
 
 
+# numpy adds up to 7 terms along a contiguous axis left to right and 8 or more in
+# pairs, along a non-contiguous axis left to right at any length, and its ** can
+# differ from scalar pow by 1 ulp (tests/test_kmeans.py pins these rules). So a sum
+# of d <= _SCALAR_EXACT_D terms has the same bits in a scalar loop, over a contiguous
+# row and over d stacked slabs; the loop shapes and both distance layouts rest on it.
+_SCALAR_EXACT_D = 7
+
 # Working-memory target of normalized_distances: rows of X are taken in blocks
-# whose (rows, k, d) difference buffer fills about this many bytes, which keeps
+# whose rows*k*d difference buffer fills about this many bytes, which keeps
 # the buffer in cache at large d and makes small inputs a single block.
 _BLOCK_BYTES = 256 * 1024
 
@@ -58,15 +65,18 @@ _BLOCK_BYTES = 256 * 1024
 def normalized_distances(X, centers) -> np.ndarray:
     """Matrix of scaled distances between rows of X and each center, shape (n, k).
 
-    Walks X in blocks of B rows, B sized so that one reused (B, k, d) buffer
-    holds about _BLOCK_BYTES (at least one row, so it holds k*d values when
-    those alone exceed the target): each block's differences to every center
-    are written into the buffer, squared in place and summed over the
-    contiguous d axis; the division by d and the square root are taken once
-    over the (n, k) result. Working memory is the buffer plus the result,
-    never an n×d temporary, and X is only read. Every entry is computed as
-    sqrt(((x - c)**2).mean()) computes it for a C-order row x, bit for bit,
-    whatever the memory layout of X.
+    Walks X in blocks of B rows, B sized so that one reused buffer of B*k*d
+    values holds about _BLOCK_BYTES (at least one row, so it holds k*d values
+    when those alone exceed the target): each block's differences to every
+    center are written into the buffer, squared in place and summed over d;
+    the division by d and the square root are taken once over the (n, k)
+    result. For d <= _SCALAR_EXACT_D the buffer is (d, B, k) and its d slabs
+    of shape (B, k) are added in turn, which spends one numpy loop per slab
+    rather than one per (row, center) pair; for larger d it is (B, k, d),
+    summed over the contiguous d axis. Working memory is the buffer plus the
+    result, never an n×d temporary, and X is only read. Every entry is
+    computed as sqrt(((x - c)**2).mean()) computes it for a C-order row x, bit
+    for bit, whatever the memory layout of X.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -77,13 +87,23 @@ def normalized_distances(X, centers) -> np.ndarray:
         raise ValueError(f"dimension mismatch: data has d={d}, centers have d={C.shape[1]}")
     out = np.empty((n, k))
     rows = max(1, _BLOCK_BYTES // (8 * k * d))
-    buf = np.empty((min(rows, n), k, d))
-    for i in range(0, n, rows):
-        block = X[i:i + rows, None, :]
-        diff = buf[:block.shape[0]]
-        np.subtract(block, C, out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.add.reduce(diff, axis=2, out=out[i:i + rows])
+    if d <= _SCALAR_EXACT_D:  # d slabs added left to right, as a short row is
+        buf = np.empty((d, min(rows, n), k))
+        XT, CT = X.T[:, :, None], C.T[:, None, :]
+        for i in range(0, n, rows):
+            block = XT[:, i:i + rows]
+            diff = buf[:, :block.shape[1]]
+            np.subtract(block, CT, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=0, out=out[i:i + rows])
+    else:
+        buf = np.empty((min(rows, n), k, d))
+        for i in range(0, n, rows):
+            block = X[i:i + rows, None, :]
+            diff = buf[:block.shape[0]]
+            np.subtract(block, C, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add.reduce(diff, axis=2, out=out[i:i + rows])
     out /= d
     return np.sqrt(out, out=out)
 

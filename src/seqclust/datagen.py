@@ -171,6 +171,11 @@ GENERATORS = {
 }
 
 
+def _param_names(generator: str) -> set:
+    """The parameters the named generator's config takes (n, d, epsilon, scale, seed)."""
+    return {f.name for f in fields(GENERATORS[generator][0])}
+
+
 def generate(generator: str, params: dict):
     """Draw a dataset from the named generator; returns (dataset, config).
 
@@ -179,7 +184,7 @@ def generate(generator: str, params: dict):
     ignored. The config is what `save_dataset` records in the sidecar.
     """
     config_cls, sample = GENERATORS[generator]
-    names = {f.name for f in fields(config_cls)}
+    names = _param_names(generator)
     config = config_cls(**{key: val for key, val in params.items() if key in names})
     return sample(config), config
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FitReport, as_sample
-from .recursion import _SCALAR_EXACT_D, _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
+from .core import _SCALAR_EXACT_D, FitReport, as_sample
+from .recursion import _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
 
 __all__ = ["KMeansState", "kmeans_init", "kmeans_step", "kmeans_fit"]
 

@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
-_SCALAR_MAX_D = 8  # one past recursion._SCALAR_EXACT_D: the numpy loop ran 3.4x slower at d=8
+_SCALAR_MAX_D = 8  # one past core._SCALAR_EXACT_D: the numpy loop ran 3.4x slower at d=8
 
 
 def _unbounded(r, nr, bound, max_step, where="") -> AssertionError:
@@ -187,7 +187,7 @@ def _consume(state: KMediansState, X) -> None:
 
 
 def _consume_small(state: KMediansState, X) -> None:
-    """Scalar twin of the numpy loop, with its bits up to d = recursion._SCALAR_EXACT_D."""
+    """Scalar twin of the numpy loop, with its bits up to d = core._SCALAR_EXACT_D."""
     d = state.raw.shape[1]
     raw = state.raw.tolist()
     avg = state.averaged.tolist()

@@ -20,12 +20,6 @@ __all__ = ["draw_seeds"]
 
 _SEED_ATTEMPTS = 16  # draws of k rows before duplicated seeds get a jitter
 
-# numpy adds up to 7 terms along a contiguous axis left to right and 8 or more in
-# pairs, along a non-contiguous axis left to right at any length, and its ** can
-# differ from scalar pow by 1 ulp (tests/test_kmeans.py pins these rules). The loop
-# shapes agree bit for bit within these rules: the scalar walk's sums are numpy's up to
-_SCALAR_EXACT_D = 7
-
 
 def _row_keys(s) -> list:
     """One key per row of the float array s, equal for rows equal in value:
@@ -131,7 +125,7 @@ def _scalar_walk(centers, X):
     list, its nearest center's index and their squared distance. The caller
     updates `centers`, a list of k lists, in place, so the next row sees the
     update. Fastest at small k*d, where numpy's per-call overhead outweighs
-    the arithmetic. Its sums are numpy's only up to d = _SCALAR_EXACT_D."""
+    the arithmetic. Its sums are numpy's only up to d = core._SCALAR_EXACT_D."""
     ks = range(len(centers))
     ds = range(X.shape[1])  # built once: a range per row and center cost ~20% at d=2
     for z in X.tolist():

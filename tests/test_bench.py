@@ -62,6 +62,31 @@ def test_validate_rejects_bad_specs():
         _tiny_sweep_spec(generator_params={"epsilon": 0.05}).validate()
 
 
+def test_validate_rejects_generator_params_the_generator_does_not_take():
+    # generate() drops keys its config does not name, so a misspelt key would
+    # run every cell on default data; `seed` would be overwritten in every cell
+    for generator, params, message in (
+            ("sim1", {"n": 60, "epsilson": 0.1},
+             "generator_params key 'epsilson' is not a sim1 parameter (takes epsilon, n)"),
+            ("sim1", {"n": 60, "d": 2},
+             "generator_params key 'd' is not a sim1 parameter (takes epsilon, n)"),
+            ("profiles", {"n": 60, "scale": 2.0},
+             "generator_params key 'scale' is not a profiles parameter (takes d, n)"),
+            ("sim2", {"n": 60, "d": 5, "seed": 3}, "generator_params must not set seed")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _tiny_sweep_spec(generator=generator, generator_params=params,
+                             algorithms=["kmeans"]).validate()
+    _tiny_sweep_spec(generator="sim2", algorithms=["kmeans"],
+                     generator_params={"n": 60, "d": 5, "epsilon": 0.1, "scale": 2.0}).validate()
+
+
+def test_validate_rejects_names_that_are_not_file_names():
+    for name in ("", ".", "..", "x/../../y", "/y", "a/b"):
+        with pytest.raises(ValueError, match="name must be a file name without a directory"):
+            _tiny_sweep_spec(name=name).validate()
+    assert _tiny_sweep_spec(name="fig3.small-2").validate().name == "fig3.small-2"
+
+
 def test_sweep_row_grid_and_statuses():
     table = run_experiment(_tiny_sweep_spec())
     # per replication: kmeans 1 + kmedians len(c_grid) + pam 1
@@ -187,6 +212,8 @@ def test_presets_build_and_reject_unknown():
         load_experiment("fig99")
     with pytest.raises(ValueError, match="not supported"):
         load_experiment("fig3", generator="sim2")
+    for name in PRESET_NAMES:  # every preset names only its generator's parameters
+        assert load_experiment(name).name == name
 
 
 def test_load_spec_file_round_trip(tmp_path):

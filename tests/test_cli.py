@@ -423,6 +423,34 @@ def test_bench_rejects_containers_of_the_wrong_type(tmp_path, capsys):
         assert not outdir.exists()
 
 
+def test_bench_rejects_unknown_generator_params_before_running(tmp_path, capsys):
+    # a misspelt "epsilson" used to be dropped, and every cell ran on clean data
+    base = dict(name="t", kind="sweep", generator="sim1", k=2,
+                algorithms=["kmeans"], restarts=1, replications=1)
+    outdir = tmp_path / "out"
+    for params, problem in (
+            ({"n": 30, "epsilson": 0.1},
+             "generator_params key 'epsilson' is not a sim1 parameter (takes epsilon, n)"),
+            ({"n": 30, "seed": 4}, "generator_params must not set seed: each cell's data "
+                                   "seed derives from the spec's seed")):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**base, "generator_params": params}))
+        assert main(["bench", str(spec_path), "-o", str(outdir)]) == 1, params
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not outdir.exists()
+
+
+def test_bench_keeps_its_files_inside_the_output_directory(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(
+        name="x/../../y", kind="sweep", generator="sim1", generator_params={"n": 30}, k=2,
+        algorithms=["kmeans"], restarts=1, replications=1)))
+    assert main(["bench", str(spec_path), "-o", str(tmp_path / "a" / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: name must be a file name without a directory, got 'x/../../y'\n")
+    assert list(tmp_path.rglob("*")) == [spec_path]
+
+
 def test_every_json_file_shares_one_format(tmp_path, capsys):
     # the model, the eval metrics, the dataset sidecar and the bench summary
     # are all sorted-key, indent-1 JSON ending in one newline

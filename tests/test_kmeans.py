@@ -14,7 +14,7 @@ from seqclust import (
     kmeans_step,
     kmedians_fit,
 )
-from seqclust.recursion import _SCALAR_EXACT_D
+from seqclust.core import _SCALAR_EXACT_D
 
 
 def test_init_sets_seeds_and_unit_counts():
@@ -134,14 +134,18 @@ def _left_to_right(rows):
 
 
 def test_numpy_summation_rules():
-    # the rules recursion.py states and every loop-shape agreement rests on
-    where = f"recursion._SCALAR_EXACT_D = {_SCALAR_EXACT_D}, numpy {np.__version__}"
+    # the rules core.py states and every loop-shape and kernel-layout agreement rests on
+    where = f"core._SCALAR_EXACT_D = {_SCALAR_EXACT_D}, numpy {np.__version__}"
     rng = np.random.default_rng(7)
     for d in range(1, _SCALAR_EXACT_D + 2):
         A = rng.standard_normal((2000, d)) ** 2  # squared differences, as the walks sum them
         same = np.add.reduce(A, axis=1) == _left_to_right(A)
         if d <= _SCALAR_EXACT_D:
             assert same.all(), f"{d} contiguous terms are not added left to right ({where})"
+            # normalized_distances' (d, B, k) layout: d slabs of shape (B, k) added in turn
+            slabs = np.ascontiguousarray(A.T).reshape(d, 40, 50)
+            assert (np.add.reduce(slabs, axis=0).ravel() == np.add.reduce(A, axis=1)).all(), (
+                f"{d} slabs do not add as {d} contiguous terms ({where})")
         else:
             assert not same.all(), f"{d} contiguous terms are added left to right ({where})"
     for m in (8, 9, 50, 300):
