@@ -222,7 +222,10 @@ class ResultTable:
         for r in self.rows:
             if r["status"] != "ok":
                 continue
-            key = (r["algorithm"], r["c_gamma"], r["n"], r["k"])
+            # only a kmedians cell's c comes from the grid; kmedians-auto's is
+            # estimated per cell, so its rows group by algorithm, n and k
+            c = r["c_gamma"] if r["algorithm"] == "kmedians" else None
+            key = (r["algorithm"], c, r["n"], r["k"])
             groups.setdefault(key, []).append(r)
         out = []
         for key in sorted(groups, key=lambda t: (t[0], t[1] if t[1] is not None else -1.0, t[2], t[3])):

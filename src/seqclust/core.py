@@ -77,6 +77,10 @@ def normalized_distances(X, centers) -> np.ndarray:
     result, never an n×d temporary, and X is only read. Every entry is
     computed as sqrt(((x - c)**2).mean()) computes it for a C-order row x, bit
     for bit, whatever the memory layout of X.
+
+    X is not checked for NaN or inf: fits call this once per restart on rows
+    `as_sample` has checked, and the public scorers (`assign_nearest`,
+    `empirical_l1_risk`, `mc_gradient`) check their rows first.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -123,8 +127,8 @@ def nearest_center(z, centers) -> int:
 
 
 def assign_nearest(X, centers) -> np.ndarray:
-    """Nearest-center index for every row of X."""
-    return normalized_distances(X, centers).argmin(axis=1)
+    """Nearest-center index for every row of X (a Dataset or a finite 2-d array)."""
+    return normalized_distances(_rows(X), centers).argmin(axis=1)
 
 
 @dataclass
@@ -145,6 +149,10 @@ class Dataset:
             raise ValueError("Dataset.X must be a (n, d) array with n >= 1, d >= 1")
         if not np.all(np.isfinite(X)):
             raise ValueError("Dataset.X contains non-finite values")
+        if self.labels is not None:
+            self.labels = _column(self.labels, "labels", X.shape[0], np.int64)
+        if self.outlier_flags is not None:
+            self.outlier_flags = _column(self.outlier_flags, "outlier_flags", X.shape[0], bool)
         if X.shape[1] == 1:
             warnings.warn(
                 "d=1 data: the scaled norm reduces to |z|; results are valid but "
@@ -152,18 +160,6 @@ class Dataset:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64)
-            if lab.shape != (X.shape[0],):
-                raise ValueError("labels must have shape (n,)")
-            lab.setflags(write=False)
-            self.labels = lab
-        if self.outlier_flags is not None:
-            fl = np.asarray(self.outlier_flags, dtype=bool)
-            if fl.shape != (X.shape[0],):
-                raise ValueError("outlier_flags must have shape (n,)")
-            fl.setflags(write=False)
-            self.outlier_flags = fl
         X.setflags(write=False)
         self.X = X
 
@@ -176,21 +172,45 @@ class Dataset:
         return self.X.shape[1]
 
 
-def as_sample(data, k: int) -> np.ndarray:
-    """The (n, d) rows a fit of k clusters runs on.
-
-    A Dataset is taken as is (its constructor already checked it); any other
-    input must be a finite 2-d array with d >= 1. Also requires 1 <= k <= n.
-    """
-    if isinstance(data, Dataset):
-        X = data.X
+def _column(values, name, n, dtype) -> np.ndarray:
+    """A read-only (n,) column of integer labels (dtype int64) or of 0/1 outlier
+    flags (dtype bool). The entries are checked as given, before the cast, and
+    the error names the first bad one."""
+    v = np.asarray(values)
+    v = v if v.dtype.kind in "biuf" else v.astype(float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape (n,)")
+    if dtype is bool:
+        ok, want = (v == 0) | (v == 1), "0 or 1"
     else:
-        X = np.asarray(data, dtype=float)
-        if X.ndim != 2 or X.shape[1] < 1:
-            raise ValueError(f"data must be a 2-d (n, d) array with d >= 1, got shape {X.shape}")
-        finite = np.isfinite(X).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"data row {int(np.argmin(finite))} contains non-finite values")
+        ok, want = np.isfinite(v) & (v == np.floor(v)), "a finite integer"
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"{name}[{i}] is {v[i]}, not {want}")
+    col = v.astype(dtype)
+    col.setflags(write=False)
+    return col
+
+
+def _rows(data) -> np.ndarray:
+    """The (n, d) rows of `data`. A Dataset is taken as is (its constructor
+    already checked it); any other input must be a finite 2-d array with
+    d >= 1, and the error names the first row holding NaN or inf."""
+    if isinstance(data, Dataset):
+        return data.X
+    X = np.asarray(data, dtype=float)
+    if X.ndim != 2 or X.shape[1] < 1:
+        raise ValueError(f"data must be a 2-d (n, d) array with d >= 1, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        row = int(np.argmin(np.isfinite(X).all(axis=1)))
+        raise ValueError(f"data row {row} contains non-finite values")
+    return X
+
+
+def as_sample(data, k: int) -> np.ndarray:
+    """The (n, d) rows a fit of k clusters runs on, checked by `_rows`.
+    Also requires 1 <= k <= n."""
+    X = _rows(data)
     if k < 1:
         raise ValueError("k must be >= 1")
     if X.shape[0] < k:
@@ -277,16 +297,12 @@ def read_csv(path) -> Dataset:
     feature_idx = [i for i, c in enumerate(names) if c not in (_LABEL_COL, _OUTLIER_COL)]
     if not feature_idx:
         raise ValueError(f"{path}: no feature columns")
-    labels = None
-    flags = None
-    if _LABEL_COL in names:
-        labels = raw[:, names.index(_LABEL_COL)].astype(np.int64)
-    if _OUTLIER_COL in names:
-        col = raw[:, names.index(_OUTLIER_COL)]
-        if not np.all((col == 0) | (col == 1)):
-            raise ValueError(f"{path}: outlier column must be 0/1")
-        flags = col.astype(bool)
-    return Dataset(raw[:, feature_idx], labels=labels, outlier_flags=flags)
+    labels = raw[:, names.index(_LABEL_COL)] if _LABEL_COL in names else None
+    flags = raw[:, names.index(_OUTLIER_COL)] if _OUTLIER_COL in names else None
+    try:  # Dataset checks the label and outlier columns
+        return Dataset(raw[:, feature_idx], labels=labels, outlier_flags=flags)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

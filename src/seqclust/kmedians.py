@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FitReport, as_sample, normalized_distances
+from .core import FitReport, _rows, as_sample, normalized_distances
 from .kmeans import kmeans_fit
 from .recursion import _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
 
@@ -401,11 +401,12 @@ def mc_gradient(centers, X):
 
     Returns (grad, skipped): grad has shape (k, d), row j is the sample mean
     of the unit pull toward center j over the points assigned to it. Sample
-    points exactly equal to a center are skipped and counted.
+    points exactly equal to a center are skipped and counted. X is a Dataset
+    or a finite 2-d array; a row holding NaN or inf is rejected by number.
     """
     C = np.asarray(centers, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if C.ndim != 2 or X.ndim != 2 or C.shape[1] != X.shape[1]:
+    X = _rows(X)
+    if C.ndim != 2 or C.shape[1] != X.shape[1]:
         raise ValueError("mc_gradient: centers (k, d) and sample (n, d) must match")
     k, d = C.shape
     D = normalized_distances(X, C)

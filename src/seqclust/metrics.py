@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import normalized_distances
+from .core import _rows, normalized_distances
 
 __all__ = ["empirical_l1_risk", "cer"]
 
@@ -12,11 +12,11 @@ __all__ = ["empirical_l1_risk", "cer"]
 def empirical_l1_risk(data, centers) -> float:
     """Mean scaled distance from each observation to its nearest center.
 
-    `data` may be a Dataset or a plain (n, d) array.
+    `data` may be a Dataset or a plain (n, d) array; a row holding NaN or inf
+    is rejected by number.
     """
-    X = getattr(data, "X", data)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] == 0:
+    X = _rows(data)
+    if X.shape[0] == 0:
         raise ValueError("empirical_l1_risk: need a non-empty (n, d) sample")
     D = normalized_distances(X, centers)
     return float(D.min(axis=1).mean())

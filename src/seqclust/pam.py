@@ -1,10 +1,13 @@
 """Desk-scale PAM (partitioning around medoids) baseline.
 
-BUILD greedily adds the medoid that most lowers the total scaled-norm
-dissimilarity; SWAP scans medoid/candidate exchanges in lexicographic order
-and applies the first strictly improving one, rescanning until no exchange
-improves. Cost is the empirical L1 risk restricted to sample points, so PAM
-results are directly comparable with the recursive fits.
+One scan, `_candidates`, costs every candidate medoid j: the total
+dissimilarity of all points to their nearest of a reference medoid set plus
+j. BUILD runs it k times from no medoids, adding the first candidate with the
+least total; SWAP runs it per medoid slot against the other medoids, applies
+the first candidate that strictly lowers the mean dissimilarity and rescans
+from the first slot until no exchange improves. Cost is the empirical L1
+risk restricted to sample points, so PAM results are directly comparable
+with the recursive fits.
 
 Tiny instances (at most `_EXACT_LIMIT` medoid subsets, which covers every
 n <= 12) are solved by exhaustive enumeration instead: single-swap search
@@ -15,7 +18,8 @@ BUILD+SWAP path.
 Both solvers read one n x n matrix of float64 dissimilarities, built once per
 fit, so memory grows as 8 n^2 bytes: 191 MiB at the cap of n = 5000
 (`_MAX_N`). Larger inputs are refused with a pointer to the recursive
-algorithms.
+algorithms. The matrix is symmetric bit for bit, so a medoid set's cost is
+read from its gathered columns.
 """
 
 from __future__ import annotations
@@ -48,12 +52,11 @@ def pam_fit(data, k: int) -> FitReport:
             "Use kmedians_fit or kmeans_fit for samples of this size."
         )
     t0 = time.perf_counter()
-    # symmetric bit for bit, so row m doubles as the distances to medoid m
     D = normalized_distances(X, X)
     solve = _enumerate if math.comb(n, k) <= _EXACT_LIMIT else _build_swap
     medoids = np.asarray(solve(D, k), dtype=np.int64)
 
-    rows = np.stack([D[m] for m in medoids], axis=1)  # (n, k)
+    rows = D[:, medoids]  # (n, k)
     evals = n * (n - 1) // 2
     return FitReport(
         algorithm="pam",
@@ -75,54 +78,38 @@ def pam_fit(data, k: int) -> FitReport:
 
 def _enumerate(D, k):
     """Every medoid subset; ties go to the first (lexicographically smallest)."""
-    best = np.inf
-    medoids = None
-    for combo in itertools.combinations(range(D.shape[0]), k):
-        rows = np.stack([D[m] for m in combo], axis=1)
-        cost = float(rows.min(axis=1).mean())
-        if cost < best:
-            best = cost
-            medoids = combo
-    return medoids
+    return min(itertools.combinations(range(D.shape[0]), k),
+               key=lambda c: D[:, c].min(axis=1).mean())
+
+
+def _candidates(D, ref, medoids):
+    """(j, total of min(ref, D[j])) for each non-medoid j in index order, where
+    ref is each point's dissimilarity to its nearest reference medoid."""
+    for j in range(D.shape[0]):
+        if j not in medoids:
+            yield j, np.minimum(ref, D[j]).sum()
 
 
 def _build_swap(D, k):
     n = D.shape[0]
-    # BUILD: first medoid minimizes the total dissimilarity to all points,
-    # each further medoid is the point whose addition lowers it the most.
-    totals = D.sum(axis=1)
-    medoids = [int(np.argmin(totals))]
-    nearest = D[medoids[0]].copy()
-    for _ in range(1, k):
-        best_j = -1
-        best_total = np.inf
-        for j in range(n):
-            if j in medoids:
-                continue
-            t = np.minimum(nearest, D[j]).sum()
-            if t < best_total:
-                best_total = t
-                best_j = j
-        medoids.append(best_j)
-        nearest = np.minimum(nearest, D[best_j])
+    # BUILD: k times, add the first point that leaves the least total
+    medoids = []
+    nearest = np.full(n, np.inf)
+    for _ in range(k):
+        j = min(_candidates(D, nearest, medoids), key=lambda c: c[1])[0]
+        medoids.append(j)
+        nearest = np.minimum(nearest, D[j])
 
-    # SWAP: first improvement in lexicographic (medoid, candidate) order.
-    current = float(nearest.mean())
-    improved = True
-    while improved:
-        improved = False
-        member = set(medoids)
-        for mi in range(k):
-            others = np.minimum.reduce([D[m] for j, m in enumerate(medoids) if j != mi], initial=np.inf)
-            for o in range(n):
-                if o in member:
-                    continue
-                cand = float(np.minimum(others, D[o]).mean())
-                if cand < current:
-                    medoids[mi] = o
-                    current = cand
-                    improved = True
-                    break
-            if improved:
-                break
+    # SWAP: first improvement in lexicographic (slot, candidate) order; total / n
+    # is the division np.mean makes, so each comparison has mean's bits
+    current = nearest.sum() / n
+    mi = 0
+    while mi < k:
+        others = D[medoids[:mi] + medoids[mi + 1:]].min(axis=0, initial=np.inf)
+        better = next(((j, t / n) for j, t in _candidates(D, others, medoids) if t / n < current), None)
+        if better is None:
+            mi += 1
+        else:  # apply it and rescan from the first slot
+            medoids[mi], current = better
+            mi = 0
     return medoids

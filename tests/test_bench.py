@@ -187,6 +187,22 @@ def test_cer_experiment_scores_against_labels():
         assert "cer_median" in g and "cer_q1" in g and "cer_q3" in g
 
 
+def test_kmedians_auto_replications_share_one_summary_group():
+    # each kmedians-auto cell estimates its own c, which the results CSV keeps;
+    # the summary still pools the replications of one (n, k) cell
+    spec = ExperimentSpec(
+        name="autocer", kind="cer", generator="sim1",
+        generator_params={"n": 80, "epsilon": 0.05}, k=3,
+        algorithms=["kmedians-auto"], restarts=2, replications=3, seed=11)
+    table = run_experiment(spec)
+    assert len({r["c_gamma"] for r in table.rows}) == 3
+    groups = table.summary()["groups"]
+    assert len(groups) == 1
+    g = groups[0]
+    assert (g["algorithm"], g["c_gamma"], g["count"]) == ("kmedians-auto", None, 3)
+    assert g["cer_median"] == float(np.median([r["cer"] for r in table.rows]))
+
+
 def test_run_experiment_dispatches_on_kind():
     table = run_experiment(_tiny_sweep_spec(algorithms=["kmeans"],
                                             replications=1))

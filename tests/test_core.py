@@ -13,6 +13,7 @@ from seqclust import (
     empirical_l1_risk,
     kmeans_fit,
     kmedians_fit,
+    mc_gradient,
     nearest_center,
     normalized_distances,
     normalized_norm,
@@ -186,6 +187,50 @@ def test_dataset_validation():
         Dataset(X=np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("field, values, message", [
+    ("labels", [1.7, 2.2, 0.0], r"labels\[0\] is 1.7, not a finite integer"),
+    ("labels", [0.0, 1.0, np.nan], r"labels\[2\] is nan, not a finite integer"),
+    ("labels", [0.0, -np.inf, 1.0], r"labels\[1\] is -inf, not a finite integer"),
+    ("outlier_flags", [2, 0.5, 0], r"outlier_flags\[0\] is 2.0, not 0 or 1"),
+    ("outlier_flags", [0, 1, -1], r"outlier_flags\[2\] is -1, not 0 or 1"),
+], ids=["fractional-label", "nan-label", "inf-label", "flag-2", "flag-minus-1"])
+def test_dataset_rejects_labels_and_flags_a_cast_would_change(field, values, message):
+    # a cast to int64 or bool would have stored [1, 2, 0], a huge negative
+    # label or [True, True, False] without a word
+    with pytest.raises(ValueError, match=message):
+        Dataset(X=np.zeros((3, 2)), **{field: values})
+
+
+def test_dataset_keeps_integral_labels_and_boolean_flags():
+    ds = Dataset(X=np.zeros((3, 2)), labels=[2.0, -1.0, 0.0], outlier_flags=[True, False, 1.0])
+    assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [2, -1, 0]
+    assert ds.outlier_flags.dtype == bool and ds.outlier_flags.tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1,x2,label\n1,1,0.5\n2,2,1.7\n3,3,-0.2\n", "labels[0] is 0.5, not a finite integer"),
+    ("x1,x2,label\n1,1,0\n2,2,nan\n", "labels[1] is nan, not a finite integer"),
+], ids=["fractional", "nan"])
+def test_read_csv_rejects_label_columns_that_are_not_integers(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("score", [
+    lambda X: empirical_l1_risk(X, [[0.0, 0.0]]),
+    lambda X: assign_nearest(X, [[0.0, 0.0]]),
+    lambda X: mc_gradient([[0.0, 0.0]], X),
+], ids=["empirical_l1_risk", "assign_nearest", "mc_gradient"])
+@pytest.mark.parametrize("row, value", [(3, np.nan), (4, np.inf), (0, -np.inf)],
+                         ids=["nan", "inf", "-inf"])
+def test_scorers_reject_non_finite_rows_naming_the_row(score, row, value):
+    # unchecked, such a row gets a nan or inf risk, cluster 0 or a skipped pull
+    with pytest.raises(ValueError, match=f"row {row} contains non-finite"):
+        score(_with_row(row, value))
+
+
 def test_dataset_d1_warns():
     with pytest.warns(RuntimeWarning):
         Dataset(X=np.array([[1.0], [2.0]]))
@@ -230,7 +275,7 @@ def test_csv_roundtrip_plain(tmp_path):
     ("x1,x2\n", "no data rows"),
     ("x1,x2,x3\n1.0,2.0\n", "header names 3 columns, rows have 2"),
     ("label,outlier\n0,1\n", "no feature columns"),
-    ("x1,outlier\n1.0,2\n", "outlier column must be 0/1"),
+    ("x1,outlier\n1.0,2\n", "outlier_flags[0] is 2.0, not 0 or 1"),
 ], ids=["empty", "unparsable", "no-rows", "columns", "no-features", "outlier-flag"])
 def test_read_csv_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.csv"

@@ -544,3 +544,38 @@ def test_mc_gradient_matches_finite_differences():
             dn[r, t] -= h
             fd = (empirical_l1_risk(X, up) - empirical_l1_risk(X, dn)) / (2 * h)
             assert abs(grad[r, t] - 2 * fd) < 1e-4  # d = 2
+
+
+def test_averaged_recursion_approaches_a_stationary_point():
+    # The paper's theorem: the averaged recursion converges almost surely to a
+    # stationary point of the L1 loss. On atom-free sim1 the largest entry of
+    # the gradient, estimated on a fresh sample of N rows, must fall as the fit
+    # sees more rows, and at the larger n the averaged centers must be closer
+    # to stationary than the raw iterate. The bounds are set in units of the
+    # Monte Carlo standard error of an entry, sd(per-row pull) / sqrt(N),
+    # about 0.001 at N = 4e5: a drop of more than 3 of them is not test-sample
+    # noise, and an entry within 4 of them of zero is stationary as far as
+    # this sample can tell.
+    test = sim1_sample(Sim1Config(n=400_000, epsilon=0.0, seed=99)).X
+    largest, se, risk = {}, [], {}
+    for n in (20_000, 200_000):
+        data = sim1_sample(Sim1Config(n=n, epsilon=0.0, seed=5))
+        report = kmedians_fit(data, 3, GainConfig(c_gamma=2.0), restarts=3, seed=5)
+        for kind, C in (("averaged", report.centers), ("raw", report.raw_centers)):
+            grad, skipped = mc_gradient(C, test)
+            assert skipped == 0
+            largest[kind, n] = float(np.abs(grad).max())
+            risk[kind, n] = empirical_l1_risk(test, C)
+            # grad[j] is the mean over all N rows of the pull toward center j,
+            # which is zero on the rows assigned elsewhere
+            D = normalized_distances(test, C)
+            r = D.argmin(axis=1)
+            pulls = (C[r] - test) / D[np.arange(len(r)), r][:, None]
+            se += [np.where((r == j)[:, None], pulls, 0.0).std(axis=0).max() / math.sqrt(len(r))
+                   for j in range(3)]
+    se = max(se)
+    for kind in ("averaged", "raw"):
+        assert largest[kind, 20_000] - largest[kind, 200_000] > 3 * se, (largest, se)
+    assert largest["averaged", 200_000] < 4 * se, (largest, se)
+    assert largest["averaged", 200_000] < largest["raw", 200_000], largest
+    assert risk["averaged", 200_000] < risk["raw", 200_000], risk

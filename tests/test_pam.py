@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from seqclust import Dataset, PamSizeError, normalized_distances, pam_fit
-from seqclust.pam import _build_swap
+from seqclust.datagen import Sim1Config, Sim2Config, sim1_sample, sim2_sample
+from seqclust.pam import _EXACT_LIMIT, _build_swap
 
 
 def _oracle_cost(X, k):
@@ -69,6 +70,43 @@ def test_build_swap_ends_at_a_swap_local_optimum():
             small += 1
             misses += risk > _oracle_cost(X, k)
     print(f"BUILD+SWAP missed the exhaustive optimum on {misses} of {small} instances with n <= 12")
+
+
+def _pinned_instances():
+    rng = np.random.default_rng(1)
+    base = rng.standard_normal((60, 3)) * 2.0
+    duplicated = np.vstack([base, base[rng.integers(0, 60, size=30)]])
+    uniform = np.random.default_rng(0).uniform(size=(150, 2))
+    sim1 = sim1_sample(Sim1Config(n=200, epsilon=0.05, seed=1)).X
+    sim1_800 = sim1_sample(Sim1Config(n=800, epsilon=0.05, seed=2)).X
+    sim2 = sim2_sample(Sim2Config(n=120, d=50, epsilon=0.05, seed=1)).X
+    # on the last two a best-improvement SWAP stops at other medoids
+    return [
+        pytest.param(sim1, 3, [66, 131, 9], id="sim1-k3"),
+        pytest.param(sim2, 3, [3, 114, 43], id="sim2-k3"),
+        pytest.param(duplicated, 4, [26, 49, 2, 13], id="duplicated-rows-k4"),
+        pytest.param(sim1_800, 5, [379, 530, 49, 441, 17], id="sim1-k5"),
+        pytest.param(uniform, 6, [28, 44, 71, 2, 30, 8], id="uniform-k6"),
+    ]
+
+
+@pytest.mark.parametrize("X, k, medoids", _pinned_instances())
+def test_build_swap_search_path_is_pinned(X, k, medoids):
+    # the medoids of the lexicographic first-improvement search with ties to
+    # the lowest index: another search order or tie rule can stop at another
+    # swap-local optimum, which the oracle and local-optimum tests accept
+    n = X.shape[0]
+    assert math.comb(n, k) > _EXACT_LIMIT
+    assert pam_fit(X, k).medoid_indices.tolist() == medoids
+    # and SWAP moved at least one of the medoids a greedy BUILD picks
+    D = normalized_distances(X, X)
+    nearest, built = np.full(n, np.inf), []
+    for _ in range(k):
+        totals = np.minimum(nearest, D).sum(axis=1)
+        totals[built] = np.inf
+        built.append(int(totals.argmin()))
+        nearest = np.minimum(nearest, D[built[-1]])
+    assert built != medoids
 
 
 def test_k1_medoid_minimizes_row_sums():
