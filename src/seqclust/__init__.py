@@ -12,9 +12,7 @@ from .core import (
     Dataset,
     FitReport,
     assign_nearest,
-    nearest_center,
     normalized_distances,
-    normalized_norm,
     read_csv,
     read_model,
     write_csv,
@@ -66,9 +64,7 @@ __all__ = [
     "kmedians_step",
     "kmedians_stream",
     "mc_gradient",
-    "nearest_center",
     "normalized_distances",
-    "normalized_norm",
     "pam_fit",
     "profiles_sample",
     "read_csv",

@@ -16,9 +16,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "normalized_norm",
     "normalized_distances",
-    "nearest_center",
     "assign_nearest",
     "Dataset",
     "FitReport",
@@ -28,16 +26,6 @@ __all__ = [
     "write_model",
     "read_model",
 ]
-
-
-def normalized_norm(z) -> float:
-    """Dimension-scaled Euclidean norm sqrt(mean(z**2)) of a vector."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size == 0:
-        raise ValueError("normalized_norm expects a non-empty 1-d vector")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("normalized_norm: non-finite input")
-    return float(np.sqrt(np.mean(z * z)))
 
 
 def _check_centers(centers) -> np.ndarray:
@@ -110,20 +98,6 @@ def normalized_distances(X, centers) -> np.ndarray:
             np.add.reduce(diff, axis=2, out=out[i:i + rows])
     out /= d
     return np.sqrt(out, out=out)
-
-
-def nearest_center(z, centers) -> int:
-    """Index of the center closest to z; ties break to the lowest index."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1:
-        raise ValueError("z must be a 1-d vector")
-    C = _check_centers(centers)
-    if z.size != C.shape[1]:
-        raise ValueError(f"dimension mismatch: z has d={z.size}, centers have d={C.shape[1]}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("nearest_center: non-finite input")
-    diff = C - z
-    return int(np.argmin((diff * diff).sum(axis=1)))
 
 
 def assign_nearest(X, centers) -> np.ndarray:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SCALAR_EXACT_D, FitReport, as_sample
-from .recursion import _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
+from .core import FitReport, as_sample
+from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
+                        _scalar_walk)
 
 __all__ = ["KMeansState", "kmeans_init", "kmeans_step", "kmeans_fit"]
 
@@ -30,34 +31,37 @@ def kmeans_init(seeds) -> KMeansState:
     return KMeansState(centers=s, counts=np.ones(s.shape[0], dtype=np.int64))
 
 
-def _run_numpy(centers, counts, X) -> None:
+def _run_numpy(state: KMeansState, X) -> None:
     """MacQueen's update over the rows of X, walked with numpy, in place."""
-    cnt = counts.tolist()
+    centers = state.centers
+    cnt = state.counts.tolist()
     for r, _, diff in _numpy_walk(centers, X):
         row = centers[r]
         np.subtract(row, np.divide(diff, 1.0 + cnt[r], out=diff), out=row)
         cnt[r] += 1
-    counts[:] = cnt
+    state.counts[:] = cnt
 
 
-def _run_scalar(centers, counts, X) -> None:
-    """MacQueen's update over the rows of X, walked in Python floats."""
-    ds = range(centers.shape[1])
-    cent = [list(map(float, row)) for row in centers]
-    cnt = [int(c) for c in counts]
+def _run_scalar(state: KMeansState, X) -> None:
+    """MacQueen's update over the rows of X, walked in Python floats, in place."""
+    ds = range(X.shape[1])
+    cent = state.centers.tolist()
+    cnt = state.counts.tolist()
     for z, r, _ in _scalar_walk(cent, X):
         row = cent[r]
         w = 1.0 + cnt[r]
         for j in ds:
             row[j] -= (row[j] - z[j]) / w
         cnt[r] += 1
-    centers[:] = cent
-    counts[:] = cnt
+    state.centers[:] = cent
+    state.counts[:] = cnt
 
 
-def _run_restarts(centers, counts, X, perms) -> None:
-    """Consume all rows of X through R restarts at once, held as the (R, k, d)
-    block `centers` and (R, k) `counts`, in place."""
+def _run_restarts(states, X, perms) -> None:
+    """MacQueen's update over the rows of X for R restart states at once,
+    stacked into an (R, k, d) block and (R, k) counts, in place."""
+    centers = np.stack([st.centers for st in states])
+    counts = np.stack([st.counts for st in states])
     flat = centers.reshape(-1, centers.shape[2])
     flat_counts = counts.reshape(-1)
     chosen = np.empty((centers.shape[0], centers.shape[2]))
@@ -66,6 +70,15 @@ def _run_restarts(centers, counts, X, perms) -> None:
         np.divide(diff, (1.0 + n_i)[:, None], out=diff)
         flat[i] = np.subtract(flat.take(i, axis=0, out=chosen, mode="clip"), diff, out=chosen)
         flat_counts[i] = n_i + 1
+    for st, c, n in zip(states, centers, counts):
+        st.centers[:] = c
+        st.counts[:] = n
+
+
+_LOOPS = {"scalar": _run_scalar, "numpy": _run_numpy, "batched": _run_restarts}
+# R*k*d from which R >= 2 restarts at d <= 7 walk batched, read off the
+# measured (d, k, R) table in CHANGES.md
+_BATCH_FROM = 60
 
 
 def kmeans_step(state: KMeansState, z) -> KMeansState:
@@ -75,10 +88,9 @@ def kmeans_step(state: KMeansState, z) -> KMeansState:
         raise ValueError("kmeans_step: dimension mismatch")
     if not np.isfinite(z).all():
         raise ValueError("kmeans_step: non-finite observation")
-    centers = state.centers.copy()
-    counts = state.counts.copy()
-    _run_numpy(centers, counts, z[None])
-    return KMeansState(centers=centers, counts=counts)
+    out = KMeansState(centers=state.centers.copy(), counts=state.counts.copy())
+    _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z[None])
+    return out
 
 
 def kmeans_fit(
@@ -99,16 +111,9 @@ def kmeans_fit(
     X = as_sample(data, k)
 
     def run_all(S, X, perms):
-        centers = S.copy()
-        counts = np.ones(S.shape[:2], dtype=np.int64)
-        # the scalar walk is exact only up to _SCALAR_EXACT_D; batching measured faster at any d
-        if len(S) > 1:
-            _run_restarts(centers, counts, X, perms)
-        elif X.shape[1] > _SCALAR_EXACT_D:
-            _run_numpy(centers[0], counts[0], X if perms is None else X[next(perms)])
-        else:
-            _run_scalar(centers[0], counts[0], X if perms is None else X[next(perms)])
-        return zip(centers, counts)
+        states = [kmeans_init(s) for s in S]
+        _run_loops(_LOOPS, _BATCH_FROM, states, k, X, perms)
+        return [(st.centers, st.counts) for st in states]
 
     report, counts = _fit_restarts("kmeans", X, k, run_all, seeds=seeds,
                                    restarts=restarts, seed=seed, shuffle=shuffle)

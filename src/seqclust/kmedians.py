@@ -24,7 +24,8 @@ import numpy as np
 
 from .core import FitReport, _rows, as_sample, normalized_distances
 from .kmeans import kmeans_fit
-from .recursion import _batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _scalar_walk
+from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
+                        _scalar_walk)
 
 __all__ = [
     "GainConfig",
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 _BOUND_SLACK = 1e-12
-_SCALAR_MAX_D = 8  # one past core._SCALAR_EXACT_D: the numpy loop ran 3.4x slower at d=8
 
 
 def _unbounded(r, nr, bound, max_step, where="") -> AssertionError:
@@ -143,14 +143,11 @@ def _gain_powers(gain: GainConfig, us) -> np.ndarray:
 
 
 def _consume(state: KMediansState, X) -> None:
-    """Feed rows of X through the recursion of one state, mutating it in
-    place: the kernel of kmedians_stream, kmedians_step and of fits with a
-    single restart or d <= _SCALAR_MAX_D, where every path runs the scalar
-    loop (the hot path of every 2-d benchmark). The gain is taken in Python
-    floats, whose sqrt, pow and division give the bits numpy's scalars do."""
-    if state.d <= _SCALAR_MAX_D:
-        _consume_small(state, np.asarray(X, dtype=float))
-        return
+    """Feed the rows of X through the recursion of one state, walked with
+    numpy, mutating it in place: the loop `_run_loops` gives each restart,
+    stream and step that runs alone at d > core._SCALAR_EXACT_D. The gain is
+    taken in Python floats, whose sqrt, pow and division give the bits numpy's
+    scalars do."""
     raw = state.raw
     avg = state.averaged
     d = raw.shape[1]
@@ -187,7 +184,9 @@ def _consume(state: KMediansState, X) -> None:
 
 
 def _consume_small(state: KMediansState, X) -> None:
-    """Scalar twin of the numpy loop, with its bits up to d = core._SCALAR_EXACT_D."""
+    """Scalar twin of the numpy loop, with its bits: the loop `_run_loops` gives
+    each restart, stream and step that runs alone at d <= core._SCALAR_EXACT_D
+    (the hot path of every 2-d benchmark)."""
     d = state.raw.shape[1]
     raw = state.raw.tolist()
     avg = state.averaged.tolist()
@@ -287,6 +286,12 @@ def _consume_restarts(states, X, perms) -> None:
         st.skips += int(skips[j])
 
 
+_LOOPS = {"scalar": _consume_small, "numpy": _consume, "batched": _consume_restarts}
+# R*k*d from which R >= 2 restarts at d <= 7 walk batched, read off the
+# measured (d, k, R) table in CHANGES.md
+_BATCH_FROM = 300
+
+
 def kmedians_step(state: KMediansState, z) -> KMediansState:
     """Consume one observation, returning the new state (input left untouched)."""
     z = np.asarray(z, dtype=float)
@@ -304,7 +309,7 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
         raise ValueError("kmedians_stream: non-finite observations")
     out = KMediansState(state.raw.copy(), state.averaged.copy(), state.update_counts.copy(),
                         state.gain, state.bound_K, state.skips)
-    _consume(out, X)
+    _run_loops(_LOOPS, _BATCH_FROM, [out], out.k, X)
     return out
 
 
@@ -329,11 +334,7 @@ def kmedians_fit(
         norms = (np.sqrt((A * A).mean(axis=-1)).max() for A in (X, S))
         bound_K = float(max(norms)) if bound_check else None
         states = [kmedians_init(s, gain, bound_K=bound_K) for s in S]
-        if len(states) > 1 and X.shape[1] > _SCALAR_MAX_D:
-            _consume_restarts(states, X, perms)
-        else:
-            for st in states:
-                _consume(st, X if perms is None else X[next(perms)])
+        _run_loops(_LOOPS, _BATCH_FROM, states, k, X, perms)
         return [(st.averaged, st) for st in states]
 
     report, st = _fit_restarts("kmedians", X, k, run_all, seeds=seeds,

@@ -4,7 +4,8 @@ MacQueen k-means and averaged k-medians walk the rows alike: in a fixed
 order, each row to its nearest center (ties to the lowest index), which
 alone is updated. A walk owns the row order, the search and the gather of
 the chosen rows, one walk per loop shape, each the fastest on some inputs;
-each fit keeps only its update loop, `for ... in walk(...)`.
+each fit keeps only its three update loops, `for ... in walk(...)`, and
+`_run_loops` alone picks which of them runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 
 import numpy as np
 
-from .core import FitReport, _check_centers, normalized_distances
+from .core import _SCALAR_EXACT_D, FitReport, _check_centers, normalized_distances
 
 __all__ = ["draw_seeds"]
 
@@ -74,7 +75,7 @@ def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
     `perms` (None without `shuffle`); as every restart has its own stream,
     the draws do not depend on how the restarts are run. run_all(S, X, perms)
     streams the rows through the (R, k, d) seed block S, restart i in the
-    i-th row order, with the kernel each fit finds fastest, and returns one
+    i-th row order, with the loops `_run_loops` picks, and returns one
     (centers, state) per restart. Each restart's centers are scored by
     empirical L1 risk. Returns the report of the lowest-risk restart with
     the fields both fits share, and that restart's state.
@@ -187,3 +188,22 @@ def _batched_walk(centers, X, perms):
         # i is in range, and mode="raise" would fill `out` through a buffer
         flat_diffs.take(i, axis=0, out=diff, mode="clip")
         yield i, flat_sq, diff
+
+
+def _run_loops(loops, batch_from, states, k, X, perms=None) -> None:
+    """Feed the rows of X through every state of `states` (k centers each) in
+    place with one of a fit's three update loops: loops["scalar"](state, X) and
+    loops["numpy"](state, X) walk one state, loops["batched"](states, X, perms)
+    all at once. State i reads the rows in the i-th row order the iterator
+    `perms` yields, or in order if it is None. R >= 2 states walk as one batched
+    block when d > _SCALAR_EXACT_D or R*k*d reaches the fit's measured
+    cross-over `batch_from`; otherwise each walks alone, in Python floats up to
+    d = _SCALAR_EXACT_D and with numpy above. Every loop gives the same bits at
+    every d, so this rule only chooses speed."""
+    R, d = len(states), X.shape[1]
+    if R >= 2 and (d > _SCALAR_EXACT_D or R * k * d >= batch_from):
+        loops["batched"](states, X, perms)
+        return
+    loop = loops["scalar" if d <= _SCALAR_EXACT_D else "numpy"]
+    for st in states:
+        loop(st, X if perms is None else X[next(perms)])

@@ -172,22 +172,32 @@ def test_criterion_5_complexity_counter_ratios():
     assert km_ok and pam_ok, line
 
 
-def _median_wall(fn, repeats=5):
+def _timed(fn):
+    t0 = time.perf_counter()
     fn()
-    runs = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        runs.append(time.perf_counter() - t0)
-    return float(np.median(runs))
+    return time.perf_counter() - t0
 
 
 def test_criterion_6_pam_kmedians_timing_ratio():
     data = sim1_sample(Sim1Config(n=2000, epsilon=0.05, seed=[66, 0]))
     gain = GainConfig(c_gamma=2.0)
-    t_kmed = _median_wall(
-        lambda: kmedians_fit(data, 5, gain, restarts=1, seed=[66, 1]))
-    t_pam = _median_wall(lambda: pam_fit(data, 5))
+
+    def kmed():
+        kmedians_fit(data, 5, gain, restarts=1, seed=[66, 1])
+
+    def pam():
+        pam_fit(data, 5)
+
+    kmed(), pam()  # warm-up
+    # interleaved, so that both medians see the same machine phases: each PAM
+    # call sits between k-medians calls, and the short k-medians fit runs 5
+    # times per PAM call
+    t_kmed, t_pam = [], []
+    for _ in range(5):
+        t_kmed += [_timed(kmed) for _ in range(3)]
+        t_pam.append(_timed(pam))
+        t_kmed += [_timed(kmed) for _ in range(2)]
+    t_kmed, t_pam = float(np.median(t_kmed)), float(np.median(t_pam))
     ratio = t_pam / t_kmed
     ok = ratio >= 50.0
     detail = (f"kmedians {t_kmed * 1e3:.2f} ms, pam {t_pam * 1e3:.1f} ms, "

@@ -14,9 +14,7 @@ from seqclust import (
     kmeans_fit,
     kmedians_fit,
     mc_gradient,
-    nearest_center,
     normalized_distances,
-    normalized_norm,
     pam_fit,
     read_csv,
     read_model,
@@ -26,17 +24,23 @@ from seqclust import (
 from seqclust.core import _BLOCK_BYTES, _write_json
 
 
+def _norm(z):
+    """The scaled norm of z: its distance to the origin."""
+    z = np.asarray(z, dtype=float)
+    return float(normalized_distances(z[None], np.zeros((1, z.size)))[0, 0])
+
+
 def test_normalized_norm_all_ones():
-    assert normalized_norm(np.ones(4)) == 1.0
+    assert _norm(np.ones(4)) == 1.0
 
 
 def test_normalized_norm_zero_vector():
-    assert normalized_norm(np.zeros(7)) == 0.0
+    assert _norm(np.zeros(7)) == 0.0
 
 
 def test_normalized_norm_direct_formula():
     # d=2, z=(3,-4): sqrt((9+16)/2)
-    assert math.isclose(normalized_norm([3.0, -4.0]), math.sqrt(12.5), rel_tol=1e-15)
+    assert math.isclose(_norm([3.0, -4.0]), math.sqrt(12.5), rel_tol=1e-15)
 
 
 def test_normalized_norm_is_scaled_euclidean():
@@ -45,7 +49,7 @@ def test_normalized_norm_is_scaled_euclidean():
         d = int(rng.integers(1, 12))
         z = rng.standard_normal(d)
         expected = np.linalg.norm(z) / math.sqrt(d)
-        assert math.isclose(normalized_norm(z), expected, rel_tol=1e-12)
+        assert math.isclose(_norm(z), expected, rel_tol=1e-12)
 
 
 def test_normalized_norm_triangle_and_homogeneity():
@@ -54,43 +58,31 @@ def test_normalized_norm_triangle_and_homogeneity():
         a = rng.standard_normal(5)
         b = rng.standard_normal(5)
         lam = float(rng.uniform(0.1, 5.0))
-        assert normalized_norm(a + b) <= normalized_norm(a) + normalized_norm(b) + 1e-12
-        assert math.isclose(
-            normalized_norm(lam * a), lam * normalized_norm(a), rel_tol=1e-12
-        )
-
-
-def test_normalized_norm_rejects_bad_input():
-    with pytest.raises(ValueError):
-        normalized_norm([1.0, np.nan])
-    with pytest.raises(ValueError):
-        normalized_norm([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        normalized_norm([])
+        assert _norm(a + b) <= _norm(a) + _norm(b) + 1e-12
+        assert math.isclose(_norm(lam * a), lam * _norm(a), rel_tol=1e-12)
 
 
 def test_nearest_center_basic_and_ties():
     # strictly closer first center
-    assert nearest_center([0.0, 0.0], [[1.0, 0.0], [0.0, 2.0]]) == 0
+    assert assign_nearest([[0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0]]).tolist() == [0]
     # exact tie broken to the lowest index
-    assert nearest_center([0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]]) == 0
+    assert assign_nearest([[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]).tolist() == [0]
     # zero distance to the middle center
     centers = [[5.0, 5.0], [1.0, 2.0], [-3.0, 0.0]]
-    assert nearest_center([1.0, 2.0], centers) == 1
+    assert assign_nearest([[1.0, 2.0]], centers).tolist() == [1]
 
 
 def test_nearest_center_scale_invariance():
     rng = np.random.default_rng(2)
-    for _ in range(30):
-        z = rng.standard_normal(3)
-        centers = rng.standard_normal((4, 3))
-        lam = float(rng.uniform(0.01, 100.0))
-        assert nearest_center(z, centers) == nearest_center(lam * z, lam * centers)
+    X = rng.standard_normal((30, 3))
+    centers = rng.standard_normal((4, 3))
+    for lam in rng.uniform(0.01, 100.0, 10):
+        assert (assign_nearest(X, centers) == assign_nearest(lam * X, lam * centers)).all()
 
 
 def test_nearest_center_dimension_mismatch():
-    with pytest.raises(ValueError):
-        nearest_center([1.0, 2.0, 3.0], [[1.0, 2.0]])
+    with pytest.raises(ValueError, match="dimension mismatch: data has d=3, centers have d=2"):
+        assign_nearest([[1.0, 2.0, 3.0]], [[1.0, 2.0]])
     with pytest.raises(ValueError, match="X must be a 2-d array"):
         normalized_distances([1.0, 2.0], [[1.0, 2.0]])
     with pytest.raises(ValueError, match="dimension mismatch: data has d=3, centers have d=2"):
@@ -105,7 +97,8 @@ def test_normalized_distances_matches_brute_force():
     assert D.shape == (17, 3)
     for i in range(17):
         for j in range(3):
-            assert math.isclose(D[i, j], normalized_norm(X[i] - C[j]), rel_tol=1e-12)
+            v = X[i] - C[j]
+            assert math.isclose(D[i, j], np.sqrt(np.mean(v * v)), rel_tol=1e-12)
 
 
 def _per_center_distances(X, C):
@@ -172,7 +165,8 @@ def test_assign_nearest_exactly_one_index():
     labels = assign_nearest(X, C)
     assert labels.shape == (40,)
     for i in range(40):
-        assert labels[i] == nearest_center(X[i], C)
+        diff = C - X[i]
+        assert labels[i] == np.argmin((diff * diff).sum(axis=1))
 
 
 def test_dataset_validation():

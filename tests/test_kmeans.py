@@ -93,8 +93,8 @@ def test_barycenter_identity_along_stream():
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 50])
 def test_fit_single_restart_replays_recursion(d):
-    # up to d=7 the fit runs a scalar loop, whose left-to-right sums are
-    # numpy's order only for up to 7 terms; from d=8 on it runs numpy's
+    # up to d=7 a single restart runs the scalar loop, whose left-to-right
+    # sums are numpy's order only for up to 7 terms; from d=8 on it runs numpy's
     rng = np.random.default_rng(21)
     X = rng.standard_normal((50, d))
     seeds = X[:3].copy()
@@ -159,22 +159,23 @@ def test_numpy_summation_rules():
 
 
 def test_kmeans_step_chain_equals_single_restart_fit():
-    # at d=12 kmeans_step and the R=1 fit both walk with numpy; the chain
-    # copies its state every row and must neither drift from the fit nor
-    # touch the state it was given
+    # kmeans_step and the R=1 fit both walk in Python floats at d=2 and with
+    # numpy at d=12; the chain copies its state every row and must neither
+    # drift from the fit nor touch the state it was given
     rng = np.random.default_rng(272)
-    X = rng.standard_normal((80, 12))
-    X = np.vstack([X, X[rng.integers(0, 80, 40)]])
-    seeds = X[:3].copy()
-    first = kmeans_init(seeds)
-    state = first
-    for z in X:
-        state = kmeans_step(state, z)
-    report = kmeans_fit(X, 3, seeds=seeds, restarts=1)
-    assert report.centers.tobytes() == state.centers.tobytes()
-    assert report.counts.tobytes() == state.counts.tobytes()
-    assert first.centers.tobytes() == seeds.tobytes()
-    np.testing.assert_array_equal(first.counts, [1, 1, 1])
+    for d in (2, 12):
+        X = rng.standard_normal((80, d))
+        X = np.vstack([X, X[rng.integers(0, 80, 40)]])
+        seeds = X[:3].copy()
+        first = kmeans_init(seeds)
+        state = first
+        for z in X:
+            state = kmeans_step(state, z)
+        report = kmeans_fit(X, 3, seeds=seeds, restarts=1)
+        assert report.centers.tobytes() == state.centers.tobytes()
+        assert report.counts.tobytes() == state.counts.tobytes()
+        assert first.centers.tobytes() == seeds.tobytes()
+        np.testing.assert_array_equal(first.counts, [1, 1, 1])
 
 
 def test_fit_restart_selection_minimizes_risk():

@@ -14,6 +14,7 @@ from seqclust import (
     empirical_l1_risk,
     kmeans_fit,
     kmeans_init,
+    kmeans_step,
     kmedians_fit,
     kmedians_fit_data_driven,
     kmedians_init,
@@ -21,12 +22,12 @@ from seqclust import (
     kmedians_stream,
     mc_gradient,
     normalized_distances,
-    normalized_norm,
     read_model,
     sim1_sample,
     state_from_model,
     write_model,
 )
+from seqclust import kmeans, kmedians
 from seqclust.kmedians import _consume_restarts
 
 SQ2 = math.sqrt(2.0)
@@ -125,8 +126,9 @@ def test_per_cluster_gains():
     assert out.current_steps[0] == 0.5
     assert out.current_steps[1] == 3.0
     # step length equals the gain: |raw - seed| in normalized norm
-    assert math.isclose(normalized_norm(out.raw[0] - [0.0, 0.0]), 0.5, rel_tol=1e-12)
-    assert math.isclose(normalized_norm(out.raw[1] - [100.0, 0.0]), 3.0, rel_tol=1e-12)
+    for r, seed, step in ((0, [0.0, 0.0], 0.5), (1, [100.0, 0.0], 3.0)):
+        v = out.raw[r] - seed
+        assert math.isclose(np.sqrt(np.mean(v * v)), step, rel_tol=1e-12)
 
 
 def test_steps_strictly_decrease_per_cluster():
@@ -199,7 +201,7 @@ def test_boundedness_violation_names_the_largest_step_taken(d, restarts, message
     seeds[0, 0], seeds[1, 1], seeds[2, 0] = -1.0, 1.0, 1.0
     X = np.zeros((40, d))
     X[0, 0], X[1:, 0] = 50.0, -50.0
-    gain, K = GainConfig(c_gamma=[0.5, 2.0, 1.0]), float(normalized_norm(seeds[0]))
+    gain, K = GainConfig(c_gamma=[0.5, 2.0, 1.0]), float(np.sqrt(np.mean(seeds[0] * seeds[0])))
     with pytest.raises(AssertionError) as err:
         if restarts == 1:
             kmedians_stream(kmedians_init(seeds, gain, bound_K=K), X)
@@ -221,7 +223,7 @@ def _state_bytes(st):
 @pytest.mark.parametrize("bounded", [False, True], ids=["free", "bounded"])
 def test_stream_matches_chunked_and_stepwise(d, bounded):
     # the whole array, 16-row chunks and one kmedians_step per row are one
-    # recursion, on the scalar loop (d <= 8) and the numpy loop alike. Half
+    # recursion, on the scalar loop (d <= 7) and the numpy loop alike. Half
     # the rows repeat the seeds, so some rows land on their center and are
     # skipped.
     rng = np.random.default_rng(33)
@@ -243,11 +245,11 @@ def test_stream_matches_chunked_and_stepwise(d, bounded):
     assert _state_bytes(init) == before
 
 
-@pytest.mark.parametrize("d", [1, 2, 7, 9, 50])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 50])
 def test_fit_and_stream_replay_the_numpy_recursion(d):
-    # up to d=8 the fit and the stream run a scalar loop, whose left-to-right
-    # sums are numpy's order only for up to 7 terms; at d=8 they are not, by
-    # design, so d=8 is left out. The seeds are data rows, so skips occur.
+    # up to d=7 the fit and the stream run the scalar loop, whose left-to-right
+    # sums are numpy's order only for up to 7 terms; from d=8 on they run
+    # numpy's. The seeds are data rows, so skips occur.
     rng = np.random.default_rng(31)
     X = rng.standard_normal((60, d))
     seeds = X[:3].copy()
@@ -373,7 +375,7 @@ def _rebuild_fit(X, k, gain, *, restarts, seed, shuffle, bound_check):
     return best, skips
 
 
-@pytest.mark.parametrize("d", [2, 8, 12, 50])
+@pytest.mark.parametrize("d", [2, 7, 8, 12, 50])
 @pytest.mark.parametrize("shuffle", [False, True], ids=["ordered", "shuffled"])
 @pytest.mark.parametrize(
     "gain, bound_check",
@@ -389,25 +391,78 @@ def test_fits_equal_their_restart_by_restart_rebuild(d, shuffle, gain, bound_che
     # before its cluster moved and that step is skipped
     X = np.vstack([rng.standard_normal((60, d)), rng.standard_normal((6, d))[rng.integers(0, 6, 60)]])
     X = X[rng.permutation(len(X))] * 2.0
-    k, restarts, seed = 3, 5, [d, 7]
-    best, skips = _rebuild_fit(X, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
-                               bound_check=bound_check)
-    assert skips > 0
+    k, seed = 3, [d, 7]
+    # R*k*d at d=2 and d=7 falls on both sides of each fit's cross-over
+    # (test_one_rule_picks_every_loop), so every loop meets its rebuild
+    for restarts in (2, 5, 50):
+        best, skips = _rebuild_fit(X, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
+                                   bound_check=bound_check)
+        assert skips > 0 or restarts == 2  # two restarts may meet no copy of a seed
 
-    med = kmedians_fit(X, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
-                       bound_check=bound_check)
-    risk, ridx, st = best["kmedians"]
-    assert (med.restart, med.risk) == (ridx, risk)
-    assert med.centers.tobytes() == st.averaged.tobytes()
-    assert med.raw_centers.tobytes() == st.raw.tobytes()
-    assert med.update_counts.tobytes() == st.update_counts.tobytes()
-    assert med.skips == st.skips
+        med = kmedians_fit(X, k, gain, restarts=restarts, seed=seed, shuffle=shuffle,
+                           bound_check=bound_check)
+        risk, ridx, st = best["kmedians"]
+        assert (med.restart, med.risk) == (ridx, risk)
+        assert med.centers.tobytes() == st.averaged.tobytes()
+        assert med.raw_centers.tobytes() == st.raw.tobytes()
+        assert med.update_counts.tobytes() == st.update_counts.tobytes()
+        assert med.skips == st.skips
 
-    km = kmeans_fit(X, k, restarts=restarts, seed=seed, shuffle=shuffle)
-    risk, ridx, one = best["kmeans"]
-    assert (km.restart, km.risk) == (ridx, risk)
-    assert km.centers.tobytes() == one.centers.tobytes()
-    assert km.counts.tobytes() == one.counts.tobytes()
+        km = kmeans_fit(X, k, restarts=restarts, seed=seed, shuffle=shuffle)
+        risk, ridx, one = best["kmeans"]
+        assert (km.restart, km.risk) == (ridx, risk)
+        assert km.centers.tobytes() == one.centers.tobytes()
+        assert km.counts.tobytes() == one.counts.tobytes()
+
+
+def _recording(loops, calls):
+    """loops with every loop appending its name to `calls` before it runs."""
+    def wrap(name):
+        def loop(*args):
+            calls.append(name)
+            return loops[name](*args)
+        return loop
+    return {name: wrap(name) for name in loops}
+
+
+def test_one_rule_picks_every_loop(monkeypatch):
+    # the cross-overs come from a measured (d, k, R) table (CHANGES.md): R*k*d
+    # = 60 for k-means and 300 for k-medians, so sim1-lowd's shape (R=10, k=3,
+    # d=2) walks batched in k-means and restart by restart in k-medians
+    assert (kmeans._BATCH_FROM, kmedians._BATCH_FROM) == (60, 300)
+    picks = {  # (R, k, d): (k-means loop, k-medians loop)
+        (1, 3, 2): ("scalar", "scalar"),
+        (1, 5, 7): ("scalar", "scalar"),
+        (1, 2, 8): ("numpy", "numpy"),
+        (1, 5, 200): ("numpy", "numpy"),
+        (2, 2, 2): ("scalar", "scalar"),
+        (5, 3, 2): ("scalar", "scalar"),
+        (29, 1, 2): ("scalar", "scalar"),
+        (10, 3, 2): ("batched", "scalar"),
+        (2, 2, 7): ("scalar", "scalar"),
+        (5, 3, 7): ("batched", "scalar"),
+        (14, 3, 7): ("batched", "scalar"),
+        (30, 5, 2): ("batched", "batched"),
+        (5, 9, 7): ("batched", "batched"),
+        (2, 2, 8): ("batched", "batched"),
+        (3, 5, 200): ("batched", "batched"),
+    }
+    gain = GainConfig()
+    for (R, k, d), want in picks.items():
+        X = np.random.default_rng(41).standard_normal((20, d))
+        # every entry point walks with the loop the one rule picks
+        runs = [(kmeans, lambda: kmeans_fit(X, k, restarts=R, seed=0)),
+                (kmedians, lambda: kmedians_fit(X, k, gain, restarts=R, seed=0))]
+        if R == 1:
+            runs += [(kmeans, lambda: kmeans_step(kmeans_init(X[:k]), X[k])),
+                     (kmedians, lambda: kmedians_stream(kmedians_init(X[:k], gain), X)),
+                     (kmedians, lambda: kmedians_step(kmedians_init(X[:k], gain), X[k]))]
+        for module, run in runs:
+            loop, calls = want[module is kmedians], []
+            with monkeypatch.context() as m:
+                m.setattr(module, "_LOOPS", _recording(module._LOOPS, calls))
+                run()
+            assert calls == ([loop] if loop == "batched" else [loop] * R), (module, R, k, d)
 
 
 def test_stream_entry_points_reject_bad_input_naming_the_problem(tmp_path):
@@ -514,8 +569,9 @@ def test_mc_gradient_single_atom_has_unit_norm():
     sample = np.tile(p, (7, 1))
     grad, skipped = mc_gradient(x, sample)
     assert skipped == 0
-    assert math.isclose(normalized_norm(grad[0]), 1.0, rel_tol=1e-12)
-    direction = (x[0] - p) / normalized_norm(x[0] - p)
+    assert math.isclose(np.sqrt(np.mean(grad[0] * grad[0])), 1.0, rel_tol=1e-12)
+    v = x[0] - p
+    direction = v / np.sqrt(np.mean(v * v))
     np.testing.assert_allclose(grad[0], direction, rtol=1e-12)
 
 
