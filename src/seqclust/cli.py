@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--c-alpha", type=float, default=1.0)
     f.add_argument("--alpha", type=float, default=0.75)
     f.add_argument("--bound-check", action="store_true",
-                   help="assert the center-norm bound at every step (kmedians)")
+                   help="after every update assert |raw[r]| <= K + 2*c_r, K the largest "
+                        "row or seed norm (kmedians)")
     f.add_argument("-o", "--output", default=None, metavar="MODEL.json")
 
     e = sub.add_parser("eval", help="evaluate a stored model on a dataset CSV")

@@ -166,6 +166,19 @@ def _column(values, name, n, dtype) -> np.ndarray:
     return col
 
 
+def _integers(values):
+    """values as an int64 array when every entry is an integer in value that
+    int64 holds (3.0 is one; 1.5, NaN, 2**63, True and "3" are not), else None."""
+    try:
+        v = np.asarray(values)
+    except ValueError:  # ragged nesting
+        return None
+    if v.dtype.kind not in "iuf":
+        return None
+    ok = np.isfinite(v) & (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
+    return v.astype(np.int64) if ok.all() else None
+
+
 def _rows(data) -> np.ndarray:
     """The (n, d) rows of `data`. A Dataset is taken as is (its constructor
     already checked it); any other input must be a finite 2-d array with
@@ -340,6 +353,14 @@ def read_model(path) -> dict:
     if not isinstance(doc.get("algorithm"), str):
         raise ValueError(f"{path}: model has no algorithm name")
     for key, dtype in _MODEL_ARRAYS.items():
-        if doc.get(key) is not None:
-            doc[key] = np.asarray(doc[key], dtype=dtype)
+        if doc.get(key) is None:
+            continue
+        try:
+            values = np.asarray(doc[key], dtype=float) if dtype is float else _integers(doc[key])
+        except (TypeError, ValueError):  # ragged nesting, or a string
+            values = None
+        if values is None:
+            kind = "numbers" if dtype is float else "integers"
+            raise ValueError(f"{path}: model {key} is not an array of {kind}")
+        doc[key] = values
     return doc

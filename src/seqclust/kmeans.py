@@ -88,7 +88,7 @@ def kmeans_step(state: KMeansState, z) -> KMeansState:
         raise ValueError("kmeans_step: dimension mismatch")
     if not np.isfinite(z).all():
         raise ValueError("kmeans_step: non-finite observation")
-    out = KMeansState(centers=state.centers.copy(), counts=state.counts.copy())
+    out = KMeansState(centers=np.array(state.centers, dtype=float), counts=state.counts.copy())
     _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z[None])
     return out
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FitReport, _rows, as_sample, normalized_distances
+from .core import FitReport, _check_centers, _integers, _rows, as_sample, normalized_distances
 from .kmeans import kmeans_fit
 from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
                         _scalar_walk)
@@ -42,9 +42,17 @@ __all__ = [
 _BOUND_SLACK = 1e-12
 
 
-def _unbounded(r, nr, bound, max_step, where="") -> AssertionError:
+def _norm_limits(bound, c):
+    """What bound_check holds each raw center Z_r to, given bound_K (or None)
+    and the (k,) gain constants c: |Z_r| <= bound_K + 2*c_r. A step moves Z_r
+    by at most c_r toward a row within bound_K, so |Z_r| never passes
+    max(|seed_r|, bound_K + c_r), and kmedians_init holds the seeds to bound_K."""
+    return None if bound is None else bound + 2.0 * c + _BOUND_SLACK
+
+
+def _unbounded(r, nr, bound, c_r, where="") -> AssertionError:
     return AssertionError(f"boundedness violated{where}: |raw[{r}]|={nr:.9g} > "
-                          f"{bound:.9g} + 2*{max_step:.9g}")
+                          f"{bound:.9g} + 2*{c_r:.9g}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,7 @@ class KMediansState:
     averaged: np.ndarray
     update_counts: np.ndarray   # (k,) completed updates per cluster
     gain: GainConfig
-    bound_K: object = None      # when set, the norm bound is asserted per step
+    bound_K: object = None      # when set, each update asserts |raw[r]| <= bound_K + 2*c_r
     skips: int = 0
 
     @property
@@ -152,12 +160,12 @@ def _consume(state: KMediansState, X) -> None:
     avg = state.averaged
     d = raw.shape[1]
     counts = state.update_counts.tolist()
-    cvec = state.gain.c_vector(raw.shape[0]).tolist()
+    cvec = state.gain.c_vector(raw.shape[0])
+    limit = _norm_limits(state.bound_K, cvec)
+    cvec = cvec.tolist()
     c_alpha = float(state.gain.c_alpha)
     alpha = float(state.gain.alpha)
-    bound = state.bound_K
     skips = 0
-    max_step = None if bound is None else state.max_step
     for r, sq, diff in _numpy_walk(raw, X):
         nrm = math.sqrt(sq / d)
         if nrm == 0.0:
@@ -174,11 +182,10 @@ def _consume(state: KMediansState, X) -> None:
         np.add(mean_row, row, out=mean_row)
         np.divide(mean_row, u + 2, out=mean_row)
         counts[r] = u + 1
-        if bound is not None:
-            max_step = max(max_step, cvec[r])
+        if limit is not None:
             nr = np.sqrt((row * row).mean())
-            if nr > bound + 2.0 * max_step + _BOUND_SLACK:
-                raise _unbounded(r, nr, bound, max_step)
+            if nr > limit[r]:
+                raise _unbounded(r, nr, state.bound_K, cvec[r])
     state.update_counts[:] = counts
     state.skips += skips
 
@@ -191,12 +198,12 @@ def _consume_small(state: KMediansState, X) -> None:
     raw = state.raw.tolist()
     avg = state.averaged.tolist()
     counts = state.update_counts.tolist()
-    cvec = state.gain.c_vector(len(raw)).tolist()
+    cvec = state.gain.c_vector(len(raw))
+    limit = _norm_limits(state.bound_K, cvec)
+    cvec = cvec.tolist()
     c_alpha = float(state.gain.c_alpha)
     alpha = float(state.gain.alpha)
-    bound = state.bound_K
     skips = 0
-    max_step = None if bound is None else state.max_step
     ds = range(d)
     for z, r, best_sq in _scalar_walk(raw, X):
         nrm = math.sqrt(best_sq / d)
@@ -213,14 +220,13 @@ def _consume_small(state: KMediansState, X) -> None:
             row[j] -= scale * (row[j] - z[j])
             mean_row[j] = (w * mean_row[j] + row[j]) / (u + 2)
         counts[r] = w
-        if bound is not None:
-            max_step = max(max_step, cvec[r])
+        if limit is not None:
             s = 0.0
             for j in ds:
                 s += row[j] * row[j]
             nr = math.sqrt(s / d)
-            if nr > bound + 2.0 * max_step + _BOUND_SLACK:
-                raise _unbounded(r, nr, bound, max_step)
+            if nr > limit[r]:
+                raise _unbounded(r, nr, state.bound_K, cvec[r])
     state.raw[:] = raw
     state.averaged[:] = avg
     state.update_counts[:] = counts
@@ -241,22 +247,19 @@ def _consume_restarts(states, X, perms) -> None:
     raw = np.stack([st.raw for st in states])
     avg = np.stack([st.averaged for st in states])
     counts = np.stack([st.update_counts for st in states])
-    max_step = None if bound is None else np.array([st.max_step for st in states])
     skips = np.zeros(R, dtype=np.int64)
     powers = _gain_powers(gain, range(int(counts.max()) + X.shape[0]))
     cvec = np.tile(gain.c_vector(k), R)
+    limit = _norm_limits(bound, cvec)
     flat_raw, flat_avg = raw.reshape(R * k, d), avg.reshape(R * k, d)
     flat_counts = counts.reshape(R * k)
     new_buf, mean_buf = np.empty((R, d)), np.empty((R, d))
     for i, sq, diff in _batched_walk(raw, X, perms):
         nrm = np.sqrt(sq[i] / d)
         live = nrm != 0.0
-        if live.all():
-            ri = slice(None)
-        else:
+        if not live.all():
             skips += ~live
-            ri = np.flatnonzero(live)
-            i, nrm, diff = i[ri], nrm[ri], diff[ri]
+            i, nrm, diff = i[live], nrm[live], diff[live]
         new, mean = new_buf[: len(i)], mean_buf[: len(i)]
         u = flat_counts[i]
         a = cvec[i] / powers[u]
@@ -271,14 +274,13 @@ def _consume_restarts(states, X, perms) -> None:
         np.divide(mean, (u + 2)[:, None], out=mean)
         flat_avg[i] = mean
         flat_counts[i] = u + 1
-        if bound is not None:
-            max_step[ri] = np.maximum(max_step[ri], cvec[i])
+        if limit is not None:
             nr = np.sqrt((new * new).mean(axis=1))
-            over = nr > bound + 2.0 * max_step[ri] + _BOUND_SLACK
+            over = nr > limit[i]
             if over.any():
                 j = int(np.argmax(over))
                 rr, r = divmod(int(i[j]), k)
-                raise _unbounded(r, nr[j], bound, max_step[rr], f" in restart {rr}")
+                raise _unbounded(r, nr[j], bound, cvec[i[j]], f" in restart {rr}")
     for j, st in enumerate(states):
         st.raw[:] = raw[j]
         st.averaged[:] = avg[j]
@@ -307,8 +309,8 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
         raise ValueError("kmedians_stream: expected (m, d) batch matching the state")
     if not np.isfinite(X).all():
         raise ValueError("kmedians_stream: non-finite observations")
-    out = KMediansState(state.raw.copy(), state.averaged.copy(), state.update_counts.copy(),
-                        state.gain, state.bound_K, state.skips)
+    out = KMediansState(np.array(state.raw, dtype=float), np.array(state.averaged, dtype=float),
+                        state.update_counts.copy(), state.gain, state.bound_K, state.skips)
     _run_loops(_LOOPS, _BATCH_FROM, [out], out.k, X)
     return out
 
@@ -428,19 +430,33 @@ def mc_gradient(centers, X):
     return grad / used, skipped
 
 
+def _model_centers(model: dict, key: str) -> np.ndarray:
+    try:
+        return _check_centers(model.get(key)).copy()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"model {key}: {exc}") from None
+
+
 def state_from_model(model: dict) -> KMediansState:
-    """Rebuild a resumable stream state from a model snapshot dict."""
+    """Rebuild a resumable stream state from a model snapshot dict. A snapshot
+    no k-medians stream could have left is rejected with the field named."""
     if model.get("raw_centers") is None:
         raise ValueError("model has no raw centers; only k-medians fits are resumable")
+    raw, avg = _model_centers(model, "raw_centers"), _model_centers(model, "centers")
+    if avg.shape != raw.shape:
+        raise ValueError(f"model centers have shape {avg.shape}, raw_centers {raw.shape}; "
+                         "they must match")
+    k = raw.shape[0]
+    counts = _integers(model.get("update_counts"))
+    if counts is None or counts.shape != (k,) or (counts < 0).any():
+        raise ValueError(f"model update_counts must be {k} non-negative integers")
+    skips = _integers(model.get("skips", 0))
+    if skips is None or skips.shape != () or skips < 0:
+        raise ValueError("model skips must be a non-negative integer")
     gain = GainConfig(
         c_gamma=model["c_gamma"] if np.isscalar(model["c_gamma"]) else np.asarray(model["c_gamma"], float),
         c_alpha=float(model["c_alpha"]),
         alpha=float(model["alpha"]),
     )
-    return KMediansState(
-        raw=np.asarray(model["raw_centers"], dtype=float).copy(),
-        averaged=np.asarray(model["centers"], dtype=float).copy(),
-        update_counts=np.asarray(model["update_counts"], dtype=np.int64).copy(),
-        gain=gain,
-        skips=int(model.get("skips", 0)),
-    )
+    gain.c_vector(k)  # a c_gamma of another length fails here, not at the first stream
+    return KMediansState(raw=raw, averaged=avg, update_counts=counts, gain=gain, skips=int(skips))

@@ -411,6 +411,20 @@ def test_model_rejects_foreign_json(tmp_path):
         read_model(path)
 
 
+@pytest.mark.parametrize("key", ["counts", "update_counts", "medoid_indices"])
+def test_model_integer_arrays_are_not_truncated(tmp_path, key):
+    path = tmp_path / "model.json"
+    doc = {"format": "seqclust-model", "version": 1, "algorithm": "x", "centers": [[0.0], [1.0]]}
+    message = rf"{re.escape(str(path))}: model {key} is not an array of integers"
+    for bad in ([1.5, 2.7, 3.0], [1, 2**63], [1e300], [True], ["3"]):
+        path.write_text(json.dumps(dict(doc, **{key: bad})))
+        with pytest.raises(ValueError, match=message):
+            read_model(path)
+    path.write_text(json.dumps(dict(doc, **{key: [1.0, 2, 3]})))
+    values = read_model(path)[key]
+    assert values.dtype == np.int64 and values.tolist() == [1, 2, 3]
+
+
 def _with_row(i, value):
     X = np.arange(12.0).reshape(6, 2)
     X[i, 1] = value

@@ -7,6 +7,7 @@ import pytest
 
 from seqclust import (
     Dataset,
+    KMeansState,
     draw_seeds,
     empirical_l1_risk,
     kmeans_fit,
@@ -40,6 +41,20 @@ def test_step_is_midpoint_on_first_update():
     np.testing.assert_array_equal(out.counts, [2])
     # input state untouched
     np.testing.assert_array_equal(state.centers, [[1.0, 1.0]])
+
+
+@pytest.mark.parametrize("d", [2, 9])
+def test_step_of_an_integer_state_runs_in_floats(d):
+    # a hand-built state may hold integer centers; the step's copy is a float
+    # one, so the half-step is not truncated (d=2) nor refused by numpy (d=9)
+    centers = np.zeros((2, d), dtype=np.int64)
+    centers[1] = 4
+    state = KMeansState(centers=centers, counts=np.ones(2, dtype=np.int64))
+    out = kmeans_step(state, np.ones(d))
+    assert out.centers.dtype == np.float64
+    np.testing.assert_array_equal(out.centers, [[0.5] * d, [4.0] * d])
+    np.testing.assert_array_equal(out.counts, [2, 1])
+    assert state.centers.dtype == np.int64 and not state.centers[0].any()
 
 
 def test_step_moves_only_nearest_center():

@@ -1,5 +1,6 @@
 """Tests for the averaged stochastic-gradient k-medians."""
 
+import json
 import math
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from seqclust import (
     Dataset,
     GainConfig,
+    KMediansState,
     Sim1Config,
     draw_seeds,
     empirical_l1_risk,
@@ -174,7 +176,7 @@ def test_boundedness_invariant_randomized():
     rng = np.random.default_rng(32)
     for c in (0.2, 1.0, 7.0):
         X = rng.uniform(-5.0, 5.0, size=(4000, 2))
-        # bound_check asserts |raw| <= K + 2*max_step at every single step
+        # bound_check asserts |raw[r]| <= K + 2*c at every single step
         kmedians_fit(
             Dataset(X=X), 3, GainConfig(c_gamma=c), restarts=2, seed=int(c * 10),
             bound_check=True,
@@ -186,32 +188,55 @@ def test_boundedness_invariant_randomized():
         kmedians_fit(np.full((50, d), 1e4), 3, restarts=3, seed=1, bound_check=True)
     X = rng.uniform(-1.0, 1.0, size=(200, 2))
     kmedians_fit(X, 2, seeds=[[0.0, 0.0], [50.0, 50.0]], bound_check=True)
+    # per-cluster gains, stepped row by row: a step moves Z_r by at most c_r
+    # toward a row within K, so |Z_r| stays within K + c_r, c_r inside the
+    # K + 2*c_r that bound_check asserts
+    for s in range(40):
+        rng = np.random.default_rng([34, s])
+        k, d = int(rng.integers(2, 5)), int(rng.integers(1, 6))
+        c = np.exp(rng.uniform(np.log(0.01), np.log(20.0), k))
+        X = rng.standard_normal((150, d)) * rng.uniform(0.1, 10.0)
+        K = float(np.sqrt((X * X).mean(axis=1)).max())
+        state = kmedians_init(X[:k], GainConfig(c_gamma=c), bound_K=K)
+        for z in X:
+            state = kmedians_step(state, z)
+            assert (np.sqrt((state.raw * state.raw).mean(axis=1)) <= K + c + 1e-12).all(), s
 
 
-@pytest.mark.parametrize("d, restarts, message", [
-    (2, 1, "boundedness violated: |raw[0]|=2.74725504 > 0.707106781 + 2*1"),
-    (12, 1, "boundedness violated: |raw[0]|=2.3288234 > 0.288675135 + 2*1"),
-    (12, 3, "boundedness violated in restart 1: |raw[0]|=2.3288234 > 0.288675135 + 2*1"),
-], ids=["scalar", "numpy", "batched"])
-def test_boundedness_violation_names_the_largest_step_taken(d, restarts, message):
-    # bound_K is the seeds' own norm and every row lies far outside it. One row
-    # moves the c=1 cluster, then the c=0.5 cluster walks off; the c=2 cluster
-    # never moves, so the bound's max_step is 1, not the largest c_gamma.
+def _walk_off_message(d, restarts, c_gamma):
+    """The bound_check error of a stream that walks cluster 0 off the ball.
+    bound_K is the seeds' own norm and every row lies far outside it: the
+    first two rows move cluster 2, then every other row pulls cluster 0 away.
+    With three restarts, restart 1 reads row 0 last, so its cluster 0 starts
+    walking one row earlier than in restarts 0 and 2, after cluster 2 moved."""
     seeds = np.zeros((3, d))
     seeds[0, 0], seeds[1, 1], seeds[2, 0] = -1.0, 1.0, 1.0
     X = np.zeros((40, d))
-    X[0, 0], X[1:, 0] = 50.0, -50.0
-    gain, K = GainConfig(c_gamma=[0.5, 2.0, 1.0]), float(np.sqrt(np.mean(seeds[0] * seeds[0])))
+    X[:2, 0], X[2:, 0] = 50.0, -50.0
+    gain, K = GainConfig(c_gamma=c_gamma), float(np.sqrt(np.mean(seeds[0] * seeds[0])))
     with pytest.raises(AssertionError) as err:
         if restarts == 1:
             kmedians_stream(kmedians_init(seeds, gain, bound_K=K), X)
         else:
-            # restarts 0 and 2 send the first row to the c=2 cluster, which
-            # widens their bound, so restart 1 trips first and is named
-            orders = ((0, 2, 1), (0, 1, 2), (0, 2, 1))
-            _consume_restarts([kmedians_init(seeds[list(o)], gain, bound_K=K) for o in orders],
-                              X, None)
-    assert str(err.value) == message
+            rows = np.arange(len(X))
+            _consume_restarts([kmedians_init(seeds, gain, bound_K=K) for _ in range(3)], X,
+                              iter([rows, np.roll(rows, -1), rows]))
+    return str(err.value)
+
+
+@pytest.mark.parametrize("c_gamma", [0.5, [0.5, 2.0, 1.0]], ids=["one-c", "c-per-cluster"])
+@pytest.mark.parametrize("d, restarts, message", [
+    (2, 1, "boundedness violated: |raw[0]|=1.72375423 > 0.707106781 + 2*0.5"),
+    (12, 1, "boundedness violated: |raw[0]|=1.30532258 > 0.288675135 + 2*0.5"),
+    (12, 3, "boundedness violated in restart 1: |raw[0]|=1.30532258 > 0.288675135 + 2*0.5"),
+], ids=["scalar", "numpy", "batched"])
+def test_boundedness_violation_names_the_cluster_own_gain(d, restarts, message, c_gamma):
+    # cluster 0 (c=0.5) walks off after cluster 2 moved. The limit of cluster
+    # r is bound_K + 2*c_r, so with per-cluster gains the message names 0.5,
+    # as the scalar gain 0.5 does, not the c=1 of the cluster updated before
+    # it nor the largest c_gamma. For one c, the former rule (bound_K + 2 *
+    # the largest c of any cluster updated so far) gave these same messages.
+    assert _walk_off_message(d, restarts, c_gamma) == message
 
 
 def _state_bytes(st):
@@ -338,6 +363,54 @@ def test_snapshot_resume_is_bit_exact(tmp_path):
     np.testing.assert_array_equal(done.averaged, full.centers)
     np.testing.assert_array_equal(done.update_counts, full.update_counts)
     assert done.skips == full.skips
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: {"update_counts": doc["update_counts"][:2]},
+     r"model update_counts must be 3 non-negative integers"),
+    (lambda doc: {"update_counts": [-1, *doc["update_counts"][1:]]},
+     r"model update_counts must be 3 non-negative integers"),
+    (lambda doc: {"raw_centers": doc["raw_centers"][:2]},
+     r"model centers have shape \(3, 2\), raw_centers \(2, 2\); they must match"),
+    (lambda doc: {"raw_centers": [[math.nan, 0.0], *doc["raw_centers"][1:]]},
+     r"model raw_centers: centers contain non-finite values"),
+    (lambda doc: {"centers": [[0.0, 1.0], [2.0]]}, r"model centers is not an array of numbers"),
+    (lambda doc: {"skips": -5}, r"model skips must be a non-negative integer"),
+    (lambda doc: {"skips": 2.5}, r"model skips must be a non-negative integer"),
+    (lambda doc: {"c_gamma": [1.0, 2.0]}, r"c_gamma must be scalar or length 3, got length 2"),
+], ids=["short-counts", "negative-count", "short-raw", "nan-raw", "ragged-centers",
+        "negative-skips", "fractional-skips", "short-c_gamma"])
+def test_state_from_model_rejects_a_snapshot_no_stream_left(tmp_path, edit, message):
+    # each edit of a written model file used to resume, and failed later or
+    # never: an IndexError, a TypeError or NaN centers at the next stream,
+    # or an n_seen that undercounts. Now read_model or state_from_model
+    # rejects it and names the field.
+    X = np.random.default_rng(37).standard_normal((50, 2))
+    path = tmp_path / "model.json"
+    write_model(kmedians_fit(X, 3, restarts=1, seed=0), path)
+    state_from_model(read_model(path))
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, **edit(doc))))
+    with pytest.raises(ValueError, match=message):
+        state_from_model(read_model(path))
+
+
+@pytest.mark.parametrize("d", [2, 9])
+def test_stream_of_an_integer_state_runs_in_floats(d):
+    # a hand-built state may hold integer centers; the stream's copy is a
+    # float one, so a step is not truncated (d=2) nor refused by numpy (d=9)
+    centers = np.zeros((2, d), dtype=np.int64)
+    centers[1] = 4
+    X = np.ones((3, d))
+    X[2] = 0.5
+    by_int = KMediansState(centers, centers.copy(), np.zeros(2, dtype=np.int64),
+                           GainConfig(c_gamma=0.5))
+    by_float = kmedians_init(centers, GainConfig(c_gamma=0.5))
+    out, want = kmedians_stream(by_int, X), kmedians_stream(by_float, X)
+    assert out.raw.dtype == out.averaged.dtype == np.float64
+    assert _state_bytes(out) == _state_bytes(want)
+    assert not np.array_equal(out.raw, centers)
+    assert by_int.raw.dtype == np.int64 and not by_int.raw[0].any()
 
 
 def test_resumed_current_steps_match_live_stream(tmp_path):
