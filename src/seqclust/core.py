@@ -74,10 +74,19 @@ def normalized_distances(X, centers) -> np.ndarray:
     if X.ndim != 2:
         raise ValueError("X must be a 2-d array")
     C = _check_centers(centers)
-    (n, d), k = X.shape, C.shape[0]
-    if d != C.shape[1]:
-        raise ValueError(f"dimension mismatch: data has d={d}, centers have d={C.shape[1]}")
+    (n, d), (k, dc) = X.shape, C.shape
+    if d != dc:
+        raise ValueError(f"dimension mismatch: data has d={d}, centers have d={dc}")
     out = np.empty((n, k))
+    _distances_into(X, C, out)
+    return out
+
+
+def _distances_into(X, C, out) -> None:
+    """normalized_distances(X, C) written into out, an (n, k) float64 view of
+    any strides, for float64 arrays X (n, d) and C (k, d) taken unchecked.
+    Each entry gets the same bits whatever the shape of the call."""
+    (n, d), k = X.shape, C.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * k * d))
     if d <= _SCALAR_EXACT_D:  # d slabs added left to right, as a short row is
         buf = np.empty((d, min(rows, n), k))
@@ -97,7 +106,7 @@ def normalized_distances(X, centers) -> np.ndarray:
             np.multiply(diff, diff, out=diff)
             np.add.reduce(diff, axis=2, out=out[i:i + rows])
     out /= d
-    return np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
 
 
 def assign_nearest(X, centers) -> np.ndarray:
@@ -121,7 +130,7 @@ class Dataset:
         X = np.ascontiguousarray(np.asarray(self.X, dtype=float))
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError("Dataset.X must be a (n, d) array with n >= 1, d >= 1")
-        if not np.all(np.isfinite(X)):
+        if not _all_finite(X):
             raise ValueError("Dataset.X contains non-finite values")
         if self.labels is not None:
             self.labels = _column(self.labels, "labels", X.shape[0], np.int64)
@@ -144,6 +153,13 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+
+def _all_finite(X) -> bool:
+    """Whether every entry of the non-empty float array X is finite. min() and
+    max() propagate NaN, so both are finite exactly when every entry is, and
+    unlike np.isfinite(X) they allocate no temporary the size of X."""
+    return bool(np.isfinite(X.min()) and np.isfinite(X.max()))
 
 
 def _column(values, name, n, dtype) -> np.ndarray:
@@ -188,7 +204,7 @@ def _rows(data) -> np.ndarray:
     X = np.asarray(data, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
         raise ValueError(f"data must be a 2-d (n, d) array with d >= 1, got shape {X.shape}")
-    if not np.isfinite(X).all():
+    if X.shape[0] and not _all_finite(X):
         row = int(np.argmin(np.isfinite(X).all(axis=1)))
         raise ValueError(f"data row {row} contains non-finite values")
     return X

@@ -89,6 +89,9 @@ def kmeans_step(state: KMeansState, z) -> KMeansState:
     if not np.isfinite(z).all():
         raise ValueError("kmeans_step: non-finite observation")
     out = KMeansState(centers=np.array(state.centers, dtype=float), counts=state.counts.copy())
+    if out.counts.shape != (len(out.centers),):
+        raise ValueError(f"kmeans_step: state counts has shape {out.counts.shape}, "
+                         f"not ({len(out.centers)},)")
     _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z[None])
     return out
 

@@ -311,6 +311,12 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
         raise ValueError("kmedians_stream: non-finite observations")
     out = KMediansState(np.array(state.raw, dtype=float), np.array(state.averaged, dtype=float),
                         state.update_counts.copy(), state.gain, state.bound_K, state.skips)
+    if out.averaged.shape != out.raw.shape:
+        raise ValueError(f"kmedians_stream: state averaged has shape {out.averaged.shape}, "
+                         f"raw {out.raw.shape}; they must match")
+    if out.update_counts.shape != (out.k,):
+        raise ValueError(f"kmedians_stream: state update_counts has shape "
+                         f"{out.update_counts.shape}, not ({out.k},)")
     _run_loops(_LOOPS, _BATCH_FROM, [out], out.k, X)
     return out
 

@@ -19,7 +19,10 @@ Both solvers read one n x n matrix of float64 dissimilarities, built once per
 fit, so memory grows as 8 n^2 bytes: 191 MiB at the cap of n = 5000
 (`_MAX_N`). Larger inputs are refused with a pointer to the recursive
 algorithms. The matrix is symmetric bit for bit, so a medoid set's cost is
-read from its gathered columns.
+read from its gathered columns. Only its upper triangle is computed, in
+slabs of rows written straight into the matrix, and each slab is mirrored
+below the diagonal, so memory stays 8 n^2 bytes plus the kernel's buffer
+(`_dissimilarities`).
 """
 
 from __future__ import annotations
@@ -30,12 +33,15 @@ import time
 
 import numpy as np
 
-from .core import FitReport, as_sample, normalized_distances
+from .core import FitReport, _distances_into, as_sample
 
 __all__ = ["PamSizeError", "pam_fit"]
 
 _MAX_N = 5000
 _EXACT_LIMIT = 1000
+# Rows per slab of the triangle build: at d from 2 to 200 and n from 500 to
+# 3000, 32 rows ran about as fast as 64 or faster (the table in CHANGES.md)
+_SLAB_ROWS = 32
 
 
 class PamSizeError(ValueError):
@@ -52,7 +58,7 @@ def pam_fit(data, k: int) -> FitReport:
             "Use kmedians_fit or kmeans_fit for samples of this size."
         )
     t0 = time.perf_counter()
-    D = normalized_distances(X, X)
+    D = _dissimilarities(X)
     solve = _enumerate if math.comb(n, k) <= _EXACT_LIMIT else _build_swap
     medoids = np.asarray(solve(D, k), dtype=np.int64)
 
@@ -74,6 +80,21 @@ def pam_fit(data, k: int) -> FitReport:
         medoid_indices=medoids,
         build_evals=evals,
     )
+
+
+def _dissimilarities(X):
+    """normalized_distances(X, X), bit for bit. Each slab of rows [i, j) runs
+    through the kernel against the rows X[i:] into D[i:j, i:], and its part
+    right of the slab is mirrored into D[j:, i:j]: an upper entry is the
+    kernel's own value at any call shape, and a mirrored one is equal because
+    (a - b)**2 == (b - a)**2 and the sum over d runs in the same order."""
+    n = X.shape[0]
+    D = np.empty((n, n))
+    for i in range(0, n, _SLAB_ROWS):
+        j = i + _SLAB_ROWS
+        _distances_into(X[i:j], X[i:], D[i:j, i:])
+        D[j:, i:j] = D[i:j, j:].T
+    return D
 
 
 def _enumerate(D, k):

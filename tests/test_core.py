@@ -219,12 +219,27 @@ def test_read_csv_rejects_label_columns_that_are_not_integers(tmp_path, text, me
     lambda X: assign_nearest(X, [[0.0, 0.0]]),
     lambda X: mc_gradient([[0.0, 0.0]], X),
 ], ids=["empirical_l1_risk", "assign_nearest", "mc_gradient"])
-@pytest.mark.parametrize("row, value", [(3, np.nan), (4, np.inf), (0, -np.inf)],
-                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("row, value", [(3, np.nan), (4, np.inf), (0, -np.inf),
+                                        (5, np.nan), (5, np.inf), (5, -np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-last", "inf-last", "-inf-last"])
 def test_scorers_reject_non_finite_rows_naming_the_row(score, row, value):
     # unchecked, such a row gets a nan or inf risk, cluster 0 or a skipped pull
     with pytest.raises(ValueError, match=f"row {row} contains non-finite"):
         score(_with_row(row, value))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dataset_rejects_a_non_finite_last_entry(value):
+    X = np.ones((50, 3))
+    X[-1, -1] = value
+    with pytest.raises(ValueError, match="Dataset.X contains non-finite values"):
+        Dataset(X)
+
+
+def test_dataset_checks_finiteness_without_a_temporary_the_size_of_x():
+    # np.isfinite(X) would hold one byte per entry, an eighth of X
+    X = np.random.default_rng(10).standard_normal((1000, 1000))
+    assert _traced_peak(lambda: Dataset(X)) <= 0.01 * X.nbytes
 
 
 def test_dataset_d1_warns():
@@ -449,8 +464,9 @@ def _with_row(i, value):
         (np.zeros((4, 3, 2)), 2, r"2-d \(n, d\) array .* shape \(4, 3, 2\)"),
         (np.arange(12.0).reshape(6, 2), 0, r"k must be >= 1"),
         (np.arange(6.0).reshape(3, 2), 5, r"need at least k=5 observations, got n=3"),
+        (np.zeros((0, 2)), 1, r"need at least k=1 observations, got n=0"),
     ],
-    ids=["nan-row", "inf-row", "1-d", "3-d", "k=0", "n<k"],
+    ids=["nan-row", "inf-row", "1-d", "3-d", "k=0", "n<k", "n=0"],
 )
 def test_fits_reject_bad_input_naming_the_problem(fit, data, k, message):
     with pytest.raises(ValueError, match=message):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from seqclust import (
     Dataset,
     GainConfig,
+    KMeansState,
     KMediansState,
     Sim1Config,
     draw_seeds,
@@ -558,6 +560,34 @@ def test_stream_entry_points_reject_bad_input_naming_the_problem(tmp_path):
     ):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+_SEEDS3 = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+_AVG2 = r"kmedians_stream: state averaged has shape \(2, 2\), raw \(3, 2\); they must match"
+_COUNTS2 = r"kmedians_stream: state update_counts has shape \(2,\), not \(3,\)"
+
+
+def _kmedians_state(**fields):
+    return replace(kmedians_init(_SEEDS3, GainConfig()), **fields)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda X: kmedians_stream(_kmedians_state(averaged=_SEEDS3[:2].copy()), X), _AVG2),
+    (lambda X: kmedians_step(_kmedians_state(averaged=_SEEDS3[:2].copy()), X[0]), _AVG2),
+    (lambda X: kmedians_stream(_kmedians_state(update_counts=np.zeros(2, dtype=np.int64)), X),
+     _COUNTS2),
+    (lambda X: kmedians_step(_kmedians_state(update_counts=np.zeros(2, dtype=np.int64)), X[0]),
+     _COUNTS2),
+    (lambda X: kmeans_step(KMeansState(_SEEDS3.copy(), np.ones(2, dtype=np.int64)), X[0]),
+     r"kmeans_step: state counts has shape \(2,\), not \(3,\)"),
+], ids=["stream-averaged", "step-averaged", "stream-update_counts", "step-update_counts",
+        "kmeans_step-counts"])
+def test_stream_entry_points_reject_a_hand_built_state_of_mismatched_shapes(call, message):
+    # 3 centers with 2 averaged rows, 2 update counts or 2 k-means counts used to
+    # fail with an IndexError inside the update loop
+    X = np.random.default_rng(37).standard_normal((200, 2)) * 3.0
+    with pytest.raises(ValueError, match=message):
+        call(X)
 
 
 @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit], ids=["kmeans", "kmedians"])

@@ -8,7 +8,8 @@ import pytest
 
 from seqclust import Dataset, PamSizeError, normalized_distances, pam_fit
 from seqclust.datagen import Sim1Config, Sim2Config, sim1_sample, sim2_sample
-from seqclust.pam import _EXACT_LIMIT, _build_swap
+from seqclust.pam import _EXACT_LIMIT, _SLAB_ROWS, _build_swap, _dissimilarities
+from test_core import _traced_peak
 
 
 def _oracle_cost(X, k):
@@ -158,3 +159,25 @@ def test_cached_build_counter_is_quadratic():
     X = rng.standard_normal((64, 2))
     report = pam_fit(Dataset(X=X), 3)
     assert report.build_evals == 64 * 63 // 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 200])
+def test_dissimilarities_equal_one_kernel_call_bit_for_bit(d):
+    # n below, at and above one slab and off its multiples, with duplicate rows
+    # and -0.0 entries, in C and Fortran order
+    rng = np.random.default_rng(d)
+    for n in (1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 3 * _SLAB_ROWS + 5):
+        X = rng.standard_normal((n, d)) * 3.0
+        X[n - n // 3:] = X[: n // 3]
+        X[::3, 0] *= 0.0
+        for data in (X, np.asfortranarray(X)):
+            D = _dissimilarities(data)
+            assert D.tobytes() == normalized_distances(X, X).tobytes(), (n, d)
+
+
+def test_fit_holds_one_n_by_n_matrix():
+    # the matrix takes 8 n^2 bytes (7.63 MiB here); the kernel's buffer and the
+    # solvers' vectors fit in 2 MiB more, a second n x n array would not
+    n = 1000
+    X = np.random.default_rng(46).standard_normal((n, 200))
+    assert _traced_peak(lambda: pam_fit(X, 2)) <= 8 * n * n + 2 * 2**20
