@@ -20,13 +20,13 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import _write_json
-from .datagen import GENERATORS, _param_names, generate
+from .core import _is_int, _write_json
+from .datagen import GENERATORS, generate
 from .kmeans import kmeans_fit
 from .kmedians import GainConfig, kmedians_fit, kmedians_fit_data_driven
 from .metrics import cer
@@ -86,7 +86,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}")
-        takes = _param_names(self.generator) - {"seed"}
+        config = GENERATORS[self.generator].config
+        takes = {f.name for f in fields(config)} - {"seed"}
         for key in self.generator_params:
             if key == "seed":
                 raise ValueError("generator_params must not set seed: each cell's data seed "
@@ -101,14 +102,13 @@ class ExperimentSpec:
             raise ValueError("empty algorithm list")
         for name in ("replications", "restarts", "k"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not _is_int(v) or v < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         for grid in ("sizes", "ks"):
-            bad = [v for v in getattr(self, grid) or ()
-                   if not isinstance(v, (int, np.integer)) or v < 1]
+            bad = [v for v in getattr(self, grid) or () if not _is_int(v) or v < 1]
             if bad:
                 raise ValueError(f"{grid} entries must be integers >= 1, got {bad[0]!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if "kmedians" in self.algorithms and not self.c_grid:
             raise ValueError("algorithm 'kmedians' needs a non-empty c_grid")
@@ -117,12 +117,13 @@ class ExperimentSpec:
             if any(not np.isfinite(c) or c <= 0 for c in cg):
                 raise ValueError("c_grid values must be positive and finite")
             self.c_grid = cg
-        if self.kind == "cer" and self.generator == "profiles":
+        if self.kind == "cer" and not GENERATORS[self.generator].labels:
             raise ValueError("CER experiments need a generator with labels")
-        if self.generator in ("sim1", "sim2") and "n" not in self.generator_params and not self.sizes:
-            raise ValueError("generator_params must set n (or provide sizes)")
-        if self.generator == "sim2" and "d" not in self.generator_params:
-            raise ValueError("sim2 needs generator_params['d']")
+        given = {*self.generator_params, *(("n",) if self.sizes else ())}  # sizes set every n
+        for fld in fields(config):  # the parameters without a default
+            if fld.default is MISSING and fld.name not in given:
+                hint = " (or provide sizes)" if fld.name == "n" else ""
+                raise ValueError(f"generator_params must set {fld.name}{hint}")
         return self
 
 
@@ -168,13 +169,9 @@ def _run_replication(spec: ExperimentSpec, rep: int):
             for ai, algo in enumerate(spec.algorithms):
                 cs = spec.c_grid if (algo == "kmedians" and spec.c_grid) else [None]
                 for ci, c in enumerate(cs):
-                    row = {
-                        "experiment": spec.name, "kind": spec.kind, "replication": rep,
-                        "n": data.n, "d": data.d, "k": kk, "algorithm": algo,
-                        "c_gamma": c, "restarts": spec.restarts, "risk": None,
-                        "cer": None, "chosen_restart": None, "distance_evals": None,
-                        "status": "ok",
-                    }
+                    row = dict(dict.fromkeys(_COLUMNS), experiment=spec.name, kind=spec.kind,
+                               replication=rep, n=data.n, d=data.d, k=kk, algorithm=algo,
+                               c_gamma=c, restarts=spec.restarts, status="ok")
                     entropy = [spec.seed, 1, rep, si, ki, ai, ci]
                     try:
                         gain = None if c is None else GainConfig(c_gamma=c)
@@ -182,12 +179,9 @@ def _run_replication(spec: ExperimentSpec, rep: int):
                                           seed=entropy)
                         if spec.measure_time:
                             report, med, runs = time_fit(run)
-                            timings.append({
-                                "experiment": spec.name, "replication": rep,
-                                "n": data.n, "d": data.d, "k": kk, "algorithm": algo,
-                                "c_gamma": c, "wall_median": med,
-                                "wall_runs": ";".join(f"{t:.6f}" for t in runs),
-                            })
+                            timings.append(dict(  # the cell's columns, then its times
+                                {key: row[key] for key in _TIMING_COLUMNS if key in row},
+                                wall_median=med, wall_runs=";".join(f"{t:.6f}" for t in runs)))
                         else:
                             report = run()
                         row["risk"] = report.risk

@@ -119,7 +119,9 @@ class Dataset:
     """A fixed sample: rows X (n, d) with optional integer labels and outlier flags.
 
     Labels mark the generating component; outlier flags mark contaminated rows.
-    Arrays are made read-only on construction, observations never mutate.
+    Arrays are made read-only on construction, observations never mutate. A C-contiguous
+    float64 X is kept without a copy, so the caller's own array becomes read-only
+    too; any other X is copied, and the caller's array stays writable.
     """
 
     X: np.ndarray
@@ -182,17 +184,22 @@ def _column(values, name, n, dtype) -> np.ndarray:
     return col
 
 
+def _numbers(values):
+    """values as an array of integers or floats, else None (bools, strings, ragged nesting)."""
+    try:
+        v = np.asarray(values)
+    except ValueError:
+        return None
+    return v if v.dtype.kind in "iuf" else None
+
+
 def _integers(values):
     """values as an int64 array when every entry is an integer in value that
     int64 holds (3.0 is one; 1.5, NaN, 2**63, True and "3" are not), else None."""
-    try:
-        v = np.asarray(values)
-    except ValueError:  # ragged nesting
+    v = _numbers(values)
+    if v is None or not (np.isfinite(v) & (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)).all():
         return None
-    if v.dtype.kind not in "iuf":
-        return None
-    ok = np.isfinite(v) & (v == np.floor(v)) & (np.abs(v) < 2.0 ** 63)
-    return v.astype(np.int64) if ok.all() else None
+    return v.astype(np.int64)
 
 
 def _rows(data) -> np.ndarray:
@@ -210,10 +217,17 @@ def _rows(data) -> np.ndarray:
     return X
 
 
+def _is_int(v) -> bool:
+    """Whether v is a Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def as_sample(data, k: int) -> np.ndarray:
     """The (n, d) rows a fit of k clusters runs on, checked by `_rows`.
-    Also requires 1 <= k <= n."""
+    Also requires k to be an integer with 1 <= k <= n."""
     X = _rows(data)
+    if not _is_int(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if X.shape[0] < k:

@@ -8,6 +8,7 @@ order), so a seed reproduces a dataset bit for bit.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -163,17 +164,18 @@ def profiles_sample(n: int = 5422, d: int = 1440, seed: int = 0) -> Dataset:
     return Dataset(X)
 
 
-# generator name -> (config class, sampler of a config)
+# generator name -> its config class, whose fields are the generator's parameters
+# and `seqclust generate` options (required when they have no default), a sampler
+# of a config, a one-line help and whether its rows carry labels
+Generator = namedtuple("Generator", "config sample help labels")
 GENERATORS = {
-    "sim1": (Sim1Config, sim1_sample),
-    "sim2": (Sim2Config, sim2_sample),
-    "profiles": (ProfilesConfig, lambda cfg: profiles_sample(cfg.n, cfg.d, cfg.seed)),
+    "sim1": Generator(Sim1Config, sim1_sample,
+                      "contaminated 3-component bivariate mixture", True),
+    "sim2": Generator(Sim2Config, sim2_sample,
+                      "contaminated sinusoidal mixture with AR(1) noise", True),
+    "profiles": Generator(ProfilesConfig, lambda cfg: profiles_sample(cfg.n, cfg.d, cfg.seed),
+                          "binary viewing profiles for runtime studies", False),
 }
-
-
-def _param_names(generator: str) -> set:
-    """The parameters the named generator's config takes (n, d, epsilon, scale, seed)."""
-    return {f.name for f in fields(GENERATORS[generator][0])}
 
 
 def generate(generator: str, params: dict):
@@ -183,10 +185,10 @@ def generate(generator: str, params: dict):
     seed) and its defaults for the optional ones left out; other keys are
     ignored. The config is what `save_dataset` records in the sidecar.
     """
-    config_cls, sample = GENERATORS[generator]
-    names = _param_names(generator)
-    config = config_cls(**{key: val for key, val in params.items() if key in names})
-    return sample(config), config
+    gen = GENERATORS[generator]
+    names = {f.name for f in fields(gen.config)}
+    config = gen.config(**{key: val for key, val in params.items() if key in names})
+    return gen.sample(config), config
 
 
 def save_dataset(dataset: Dataset, csv_path, generator: str, config) -> str:

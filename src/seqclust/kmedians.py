@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FitReport, _check_centers, _integers, _rows, as_sample, normalized_distances
+from .core import (FitReport, _check_centers, _integers, _numbers, _rows, as_sample,
+                   normalized_distances)
 from .kmeans import kmeans_fit
 from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
                         _scalar_walk)
@@ -50,6 +51,11 @@ def _norm_limits(bound, c):
     return None if bound is None else bound + 2.0 * c + _BOUND_SLACK
 
 
+def _norms(A) -> np.ndarray:
+    """(n, 1) scaled norms of the rows of A (n, d), by the kernel: no n×d temporary."""
+    return normalized_distances(A, np.zeros((1, A.shape[1])))
+
+
 def _unbounded(r, nr, bound, c_r, where="") -> AssertionError:
     return AssertionError(f"boundedness violated{where}: |raw[{r}]|={nr:.9g} > "
                           f"{bound:.9g} + 2*{c_r:.9g}")
@@ -64,14 +70,14 @@ class GainConfig:
     alpha: float = 0.75
 
     def __post_init__(self):
-        c = np.asarray(self.c_gamma, dtype=float).reshape(-1)
-        if not np.all(np.isfinite(c)) or np.any(c <= 0):
+        c, c_alpha, alpha = (_numbers(v) for v in (self.c_gamma, self.c_alpha, self.alpha))
+        if c is None or not (np.isfinite(c) & (c > 0)).all():
             raise ValueError("c_gamma must be positive and finite")
-        if not (np.isfinite(self.c_alpha) and self.c_alpha > 0):
+        if c_alpha is None or c_alpha.ndim or not (np.isfinite(c_alpha) and c_alpha > 0):
             raise ValueError("c_alpha must be positive and finite")
-        if not (0.5 < self.alpha <= 1.0):
+        if alpha is None or alpha.ndim or not (0.5 < alpha <= 1.0):
             raise ValueError("alpha must lie in (1/2, 1]")
-        object.__setattr__(self, "_c", c)  # checked once here; c_vector only broadcasts it
+        object.__setattr__(self, "_c", c.astype(float).reshape(-1))  # c_vector only broadcasts it
 
     def c_vector(self, k: int) -> np.ndarray:
         """(k,) gain constants: c_gamma broadcast to the k clusters."""
@@ -132,7 +138,7 @@ def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
     gain.c_vector(k)  # validate early
     if bound_K is not None:
         bound_K = float(bound_K)
-        worst = max(float(np.sqrt((row * row).mean())) for row in s)
+        worst = float(_norms(s).max())
         if worst > bound_K + _BOUND_SLACK:
             raise ValueError(f"seed norm {worst:.6g} exceeds bound_K={bound_K:.6g}")
     return KMediansState(
@@ -150,6 +156,12 @@ def _gain_powers(gain: GainConfig, us) -> np.ndarray:
     return np.array([(1.0 + c_alpha * int(u)) ** alpha for u in us], dtype=float)
 
 
+def _gain_terms(state: KMediansState):
+    """(c_r list, bound_check limits or None, c_alpha, alpha) of the per-state loops."""
+    cvec, gain = state.gain.c_vector(state.k), state.gain
+    return cvec.tolist(), _norm_limits(state.bound_K, cvec), float(gain.c_alpha), float(gain.alpha)
+
+
 def _consume(state: KMediansState, X) -> None:
     """Feed the rows of X through the recursion of one state, walked with
     numpy, mutating it in place: the loop `_run_loops` gives each restart,
@@ -160,11 +172,7 @@ def _consume(state: KMediansState, X) -> None:
     avg = state.averaged
     d = raw.shape[1]
     counts = state.update_counts.tolist()
-    cvec = state.gain.c_vector(raw.shape[0])
-    limit = _norm_limits(state.bound_K, cvec)
-    cvec = cvec.tolist()
-    c_alpha = float(state.gain.c_alpha)
-    alpha = float(state.gain.alpha)
+    cvec, limit, c_alpha, alpha = _gain_terms(state)
     skips = 0
     for r, sq, diff in _numpy_walk(raw, X):
         nrm = math.sqrt(sq / d)
@@ -198,11 +206,7 @@ def _consume_small(state: KMediansState, X) -> None:
     raw = state.raw.tolist()
     avg = state.averaged.tolist()
     counts = state.update_counts.tolist()
-    cvec = state.gain.c_vector(len(raw))
-    limit = _norm_limits(state.bound_K, cvec)
-    cvec = cvec.tolist()
-    c_alpha = float(state.gain.c_alpha)
-    alpha = float(state.gain.alpha)
+    cvec, limit, c_alpha, alpha = _gain_terms(state)
     skips = 0
     ds = range(d)
     for z, r, best_sq in _scalar_walk(raw, X):
@@ -339,7 +343,7 @@ def kmedians_fit(
 
     def run_all(S, X, perms):
         # the bound covers the seeds too: draw_seeds' jitter may leave the rows' ball
-        norms = (np.sqrt((A * A).mean(axis=-1)).max() for A in (X, S))
+        norms = (_norms(A).max() for A in (X, S.reshape(-1, X.shape[1])))
         bound_K = float(max(norms)) if bound_check else None
         states = [kmedians_init(s, gain, bound_K=bound_K) for s in S]
         _run_loops(_LOOPS, _BATCH_FROM, states, k, X, perms)
@@ -459,10 +463,9 @@ def state_from_model(model: dict) -> KMediansState:
     skips = _integers(model.get("skips", 0))
     if skips is None or skips.shape != () or skips < 0:
         raise ValueError("model skips must be a non-negative integer")
-    gain = GainConfig(
-        c_gamma=model["c_gamma"] if np.isscalar(model["c_gamma"]) else np.asarray(model["c_gamma"], float),
-        c_alpha=float(model["c_alpha"]),
-        alpha=float(model["alpha"]),
-    )
-    gain.c_vector(k)  # a c_gamma of another length fails here, not at the first stream
+    try:
+        gain = GainConfig(**{key: model.get(key) for key in ("c_gamma", "c_alpha", "alpha")})
+        gain.c_vector(k)  # a c_gamma of another length fails here, not at the first stream
+    except ValueError as exc:
+        raise ValueError(f"model {exc}") from None
     return KMediansState(raw=raw, averaged=avg, update_counts=counts, gain=gain, skips=int(skips))

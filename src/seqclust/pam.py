@@ -71,12 +71,9 @@ def pam_fit(data, k: int) -> FitReport:
         centers=X[medoids].copy(),
         risk=float(rows.min(axis=1).mean()),
         assignments=rows.argmin(axis=1),
-        restart=0,
-        restarts=1,
         wall_time=time.perf_counter() - t0,
         distance_evals=evals,
         n_queries=n,
-        n_updates=0,
         medoid_indices=medoids,
         build_evals=evals,
     )

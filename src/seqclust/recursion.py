@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .core import _SCALAR_EXACT_D, FitReport, _check_centers, normalized_distances
+from .core import _SCALAR_EXACT_D, FitReport, _check_centers, _is_int, normalized_distances
 
 __all__ = ["draw_seeds"]
 
@@ -82,6 +82,8 @@ def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
     """
     t0 = time.perf_counter()
     n, d = X.shape
+    if not _is_int(restarts):
+        raise ValueError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     ss = np.random.SeedSequence(seed)

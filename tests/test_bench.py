@@ -80,6 +80,21 @@ def test_validate_rejects_generator_params_the_generator_does_not_take():
                      generator_params={"n": 60, "d": 5, "epsilon": 0.1, "scale": 2.0}).validate()
 
 
+def test_validate_requires_the_parameters_without_a_default():
+    # each generator config's fields without a default; sizes set n in every cell
+    for generator, params, sizes, message in (
+            ("sim1", {}, None, "generator_params must set n (or provide sizes)"),
+            ("sim2", {"n": 60}, None, "generator_params must set d"),
+            ("sim2", {}, [60], "generator_params must set d"),
+            ("sim2", {"d": 5}, None, "generator_params must set n (or provide sizes)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _tiny_sweep_spec(generator=generator, generator_params=params, sizes=sizes,
+                             algorithms=["kmeans"]).validate()
+    _tiny_sweep_spec(generator="sim2", generator_params={"d": 5}, sizes=[60],
+                     algorithms=["kmeans"]).validate()
+    _tiny_sweep_spec(generator="profiles", generator_params={}, algorithms=["kmeans"]).validate()
+
+
 def test_validate_rejects_names_that_are_not_file_names():
     for name in ("", ".", "..", "x/../../y", "/y", "a/b"):
         with pytest.raises(ValueError, match="name must be a file name without a directory"):

@@ -3,12 +3,14 @@ through main(argv) so stdout and exit codes can be asserted; one smoke test
 runs the CLI in a subprocess: the installed `seqclust` console script when it
 is on PATH, and `python -m seqclust` from the imported package otherwise."""
 
+import argparse
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,8 @@ from seqclust import (GainConfig, Sim1Config, Sim2Config, kmeans_fit, kmedians_f
                       save_dataset, sim1_sample, sim2_sample, write_model)
 from seqclust import bench
 from seqclust.bench import ExperimentSpec, run_experiment
-from seqclust.cli import main
+from seqclust.cli import build_parser, main
+from seqclust.datagen import GENERATORS
 
 
 def _lines_to_map(text):
@@ -465,3 +468,37 @@ def test_every_json_file_shares_one_format(tmp_path, capsys):
     for path in (model, metrics, tmp_path / "data.json", tmp_path / "b" / "fig6_summary.json"):
         text = path.read_text()
         assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", path
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_generate_options_are_the_config_fields():
+    # every `generate <name>` option but -o comes from a field of the config
+    generate = _subcommands(build_parser())["generate"]
+    parsers = _subcommands(generate)
+    assert list(parsers) == list(GENERATORS)
+    for name, gen in GENERATORS.items():
+        options = {a.dest: (a.type, a.default, a.required) for a in parsers[name]._actions
+                   if a.option_strings[0].startswith("--") and a.dest != "help"}
+        assert options == {f.name: ({"int": int, "float": float}[f.type],
+                                    None if f.default is MISSING else f.default,
+                                    f.default is MISSING)
+                           for f in fields(gen.config)}, name
+        assert [f.name for f in fields(gen.config)] == list(options), name
+
+
+def test_bench_rejects_a_spec_missing_a_required_parameter_before_running(tmp_path, capsys):
+    base = dict(name="t", kind="sweep", k=2, algorithms=["kmeans"], restarts=1, replications=1)
+    outdir = tmp_path / "out"
+    for generator, params, problem in (
+            ("sim1", {"epsilon": 0.1}, "generator_params must set n (or provide sizes)"),
+            ("sim2", {"d": 5}, "generator_params must set n (or provide sizes)"),
+            ("sim2", {"n": 30}, "generator_params must set d")):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({**base, "generator": generator,
+                                         "generator_params": params}))
+        assert main(["bench", str(spec_path), "-o", str(outdir)]) == 1, params
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not outdir.exists()

@@ -253,6 +253,20 @@ def test_dataset_rows_immutable():
         ds.X[0, 0] = 99.0
 
 
+def test_dataset_shares_a_c_contiguous_float64_x_and_copies_any_other():
+    # sharing saves a copy of X, so the caller's own array becomes read-only
+    X = np.ones((3, 2))
+    ds = Dataset(X)
+    assert np.shares_memory(ds.X, X) and not X.flags.writeable
+    for other in (np.ones((3, 2), order="F"), np.ones((3, 2), dtype=np.float32),
+                  np.ones((3, 2), dtype=np.int64), np.ones((3, 4))[:, ::2]):
+        ds = Dataset(other)
+        assert not np.shares_memory(ds.X, other) and other.flags.writeable
+        assert not ds.X.flags.writeable and ds.X.flags.c_contiguous
+        other[0, 0] = 5  # the caller's array stays writable and the dataset's does not move
+        assert ds.X[0, 0] == 1.0
+
+
 def test_csv_roundtrip_with_labels_and_flags(tmp_path):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((25, 3))

@@ -26,6 +26,7 @@ from seqclust import (
     kmedians_stream,
     mc_gradient,
     normalized_distances,
+    pam_fit,
     read_model,
     sim1_sample,
     state_from_model,
@@ -33,6 +34,7 @@ from seqclust import (
 )
 from seqclust import kmeans, kmedians
 from seqclust.kmedians import _consume_restarts
+from test_core import _traced_peak
 
 SQ2 = math.sqrt(2.0)
 
@@ -49,6 +51,13 @@ def test_gain_config_validation():
         (dict(c_gamma=math.inf), "c_gamma must be positive and finite"),
         (dict(c_alpha=-1.0), "c_alpha must be positive and finite"),
         (dict(c_alpha=math.nan), "c_alpha must be positive and finite"),
+        # a string, a bool or a list where a number belongs is named, not cast
+        (dict(c_gamma="2"), "c_gamma must be positive and finite"),
+        (dict(c_gamma=[1.0, "2"]), "c_gamma must be positive and finite"),
+        (dict(c_gamma=True), "c_gamma must be positive and finite"),
+        (dict(c_alpha="1"), "c_alpha must be positive and finite"),
+        (dict(c_alpha=[1.0, 2.0]), "c_alpha must be positive and finite"),
+        (dict(alpha="0.75"), r"alpha must lie in \(1/2, 1\]"),
     ):
         with pytest.raises(ValueError, match=message):
             GainConfig(**kwargs)
@@ -203,6 +212,15 @@ def test_boundedness_invariant_randomized():
         for z in X:
             state = kmedians_step(state, z)
             assert (np.sqrt((state.raw * state.raw).mean(axis=1)) <= K + c + 1e-12).all(), s
+
+
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_bound_check_takes_its_norms_without_an_n_by_d_temporary(restarts):
+    # K was the max of sqrt((X * X).mean(axis=-1)), whose X * X is as large as X
+    X = np.random.default_rng(38).standard_normal((2000, 500))
+    fit = lambda: kmedians_fit(X, 3, GainConfig(c_gamma=1.0), restarts=restarts, seed=0,
+                               bound_check=True)
+    assert _traced_peak(fit) <= 0.25 * X.nbytes
 
 
 def _walk_off_message(d, restarts, c_gamma):
@@ -380,8 +398,13 @@ def test_snapshot_resume_is_bit_exact(tmp_path):
     (lambda doc: {"skips": -5}, r"model skips must be a non-negative integer"),
     (lambda doc: {"skips": 2.5}, r"model skips must be a non-negative integer"),
     (lambda doc: {"c_gamma": [1.0, 2.0]}, r"c_gamma must be scalar or length 3, got length 2"),
+    (lambda doc: {"c_gamma": "2"}, r"^model c_gamma must be positive and finite$"),
+    (lambda doc: {"c_alpha": None}, r"^model c_alpha must be positive and finite$"),
+    (lambda doc: {"c_alpha": "x"}, r"^model c_alpha must be positive and finite$"),
+    (lambda doc: {"alpha": [0.75]}, r"^model alpha must lie in \(1/2, 1\]$"),
 ], ids=["short-counts", "negative-count", "short-raw", "nan-raw", "ragged-centers",
-        "negative-skips", "fractional-skips", "short-c_gamma"])
+        "negative-skips", "fractional-skips", "short-c_gamma", "string-c_gamma", "null-c_alpha",
+        "string-c_alpha", "list-alpha"])
 def test_state_from_model_rejects_a_snapshot_no_stream_left(tmp_path, edit, message):
     # each edit of a written model file used to resume, and failed later or
     # never: an IndexError, a TypeError or NaN centers at the next stream,
@@ -394,6 +417,19 @@ def test_state_from_model_rejects_a_snapshot_no_stream_left(tmp_path, edit, mess
     doc = json.loads(path.read_text())
     path.write_text(json.dumps(dict(doc, **edit(doc))))
     with pytest.raises(ValueError, match=message):
+        state_from_model(read_model(path))
+
+
+@pytest.mark.parametrize("key", ["c_gamma", "c_alpha", "alpha"])
+def test_state_from_model_names_a_missing_gain_field(tmp_path, key):
+    # a model without c_alpha used to raise KeyError: 'c_alpha'
+    path = tmp_path / "model.json"
+    write_model(kmedians_fit(np.random.default_rng(37).standard_normal((50, 2)), 3,
+                             restarts=1, seed=0), path)
+    doc = json.loads(path.read_text())
+    del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^model {key} must "):
         state_from_model(read_model(path))
 
 
@@ -599,6 +635,28 @@ def test_fits_reject_zero_restarts_even_with_seeds(fit):
         fit(Dataset(X=X), 2, seeds=X[:2], restarts=0)
     # the default restarts=10 with explicit seeds is one run on those seeds
     assert fit(Dataset(X=X), 2, seeds=X[:2]).restarts == 1
+
+
+@pytest.mark.parametrize("fit, restarts", [
+    (kmeans_fit, True),
+    (lambda data, k, **kw: kmedians_fit(data, k, GainConfig(c_gamma=0.5), **kw), True),
+    (kmedians_fit_data_driven, True),
+    (pam_fit, False),
+], ids=["kmeans", "kmedians", "kmedians-auto", "pam"])
+def test_fits_reject_a_non_integer_k_or_restarts_by_name(fit, restarts):
+    # each used to fail inside numpy or math.comb, or (k=True) run as k = 1
+    X = np.random.default_rng(39).standard_normal((20, 2))
+    for bad in (2.5, True, "3", np.float64(2.0)):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {bad!r}")):
+            fit(X, bad)
+        if restarts:
+            with pytest.raises(ValueError,
+                               match=re.escape(f"restarts must be an integer, got {bad!r}")):
+                fit(X, 2, restarts=bad)
+    for k in (np.int64(2), np.int32(2)):  # numpy integers are integers
+        assert fit(X, k).k == 2
+    if restarts:
+        assert fit(X, 2, restarts=np.int64(2)).restarts == 2
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
