@@ -112,11 +112,11 @@ class ExperimentSpec:
             raise ValueError("seed must be a non-negative integer")
         if "kmedians" in self.algorithms and not self.c_grid:
             raise ValueError("algorithm 'kmedians' needs a non-empty c_grid")
-        if self.c_grid is not None:
-            cg = [float(c) for c in self.c_grid]
-            if any(not np.isfinite(c) or c <= 0 for c in cg):
-                raise ValueError("c_grid values must be positive and finite")
-            self.c_grid = cg
+        if self.c_grid is not None:  # each entry is a c_gamma, checked by GainConfig
+            try:
+                self.c_grid = [float(GainConfig(c_gamma=c).c_vector(1)[0]) for c in self.c_grid]
+            except ValueError as exc:
+                raise ValueError(f"c_grid: {exc}") from None
         if self.kind == "cer" and not GENERATORS[self.generator].labels:
             raise ValueError("CER experiments need a generator with labels")
         given = {*self.generator_params, *(("n",) if self.sizes else ())}  # sizes set every n
@@ -124,6 +124,12 @@ class ExperimentSpec:
             if fld.default is MISSING and fld.name not in given:
                 hint = " (or provide sizes)" if fld.name == "n" else ""
                 raise ValueError(f"generator_params must set {fld.name}{hint}")
+        for nn in self.sizes or [None]:  # the config checks each value, each size as n
+            try:
+                config(**(self.generator_params if nn is None
+                          else dict(self.generator_params, n=nn)))
+            except ValueError as exc:
+                raise ValueError(f"generator_params: {exc}") from None
         return self
 
 

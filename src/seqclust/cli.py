@@ -15,13 +15,9 @@ from pathlib import Path
 from . import __version__
 from .bench import ALGORITHMS, OVERRIDES, PRESET_NAMES, fit, load_experiment, run_experiment
 from .core import _write_json, assign_nearest, read_csv, read_model, write_model
-from .datagen import GENERATORS, generate, save_dataset
+from .datagen import GENERATORS, PARAMS, generate, save_dataset
 from .kmedians import GainConfig
 from .metrics import cer, empirical_l1_risk
-
-# argparse type of a generator config field by its annotation, a string because datagen
-# postpones annotations (typing.get_type_hints would cost about 0.7 ms per parser)
-_FIELD_TYPES = {"int": int, "float": float}
 
 
 def _list_of(kind, what):
@@ -47,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         gp = gsub.add_parser(name, help=gen.help)
         for fld in fields(gen.config):
             required = fld.default is MISSING
-            gp.add_argument(f"--{fld.name}", type=_FIELD_TYPES[fld.type], required=required,
+            gp.add_argument(f"--{fld.name}", type=PARAMS[fld.name].type, required=required,
                             default=None if required else fld.default)
         gp.add_argument("-o", "--output", required=True, metavar="OUT.csv")
 

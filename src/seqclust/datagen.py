@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .core import Dataset, _write_json, write_csv
+from .core import Dataset, _is_int, _write_json, write_csv
 
 __all__ = [
     "Sim1Config",
@@ -54,15 +54,52 @@ SIM2_VARIANCE = 1.5
 SIM2_OUTLIER_VALUE = 4.0
 
 
+def _is_number(v) -> bool:
+    """Whether v is a Python or numpy integer or float, and not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _is_entropy(v) -> bool:
+    """Whether np.random.SeedSequence takes v (an integer >= 0 or a sequence of them), bool aside."""
+    try:
+        np.random.SeedSequence(v)
+    except (TypeError, ValueError):
+        return False
+    return not isinstance(v, bool)
+
+
+# generator parameter -> its `seqclust generate` option type, what a value must be, and the
+# test of a value; a value is checked as given and never converted, so a sidecar records it
+Param = namedtuple("Param", "type rule test")
+PARAMS = {
+    "n": Param(int, "an integer >= 1", lambda v: _is_int(v) and v >= 1),
+    "d": Param(int, "an integer >= 2", lambda v: _is_int(v) and v >= 2),
+    "epsilon": Param(float, "a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
+    "scale": Param(float, "a positive finite number",
+                   lambda v: _is_number(v) and 0 < v < np.inf),
+    "seed": Param(int, "an integer >= 0 or a list of them", _is_entropy),
+}
+
+
+class _Checked:
+    """Checks each field of a generator config against its PARAMS rule."""
+
+    def __post_init__(self):
+        for fld in fields(self):
+            value, param = getattr(self, fld.name), PARAMS[fld.name]
+            if not param.test(value):
+                raise ValueError(f"{fld.name} must be {param.rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
-class Sim1Config:
+class Sim1Config(_Checked):
     n: int
     epsilon: float = 0.0
     seed: int = 0
 
 
 @dataclass(frozen=True)
-class Sim2Config:
+class Sim2Config(_Checked):
     n: int
     d: int
     epsilon: float = 0.0
@@ -71,17 +108,10 @@ class Sim2Config:
 
 
 @dataclass(frozen=True)
-class ProfilesConfig:
+class ProfilesConfig(_Checked):
     n: int = 5422
     d: int = 1440
     seed: int = 0
-
-
-def _check_common(n, epsilon):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not (0.0 <= epsilon <= 1.0):
-        raise ValueError("epsilon must lie in [0, 1]")
 
 
 def sim1_sample(config: Sim1Config) -> Dataset:
@@ -91,7 +121,6 @@ def sim1_sample(config: Sim1Config) -> Dataset:
     exactly, label -1, flag set) or a draw from a uniformly chosen component
     (label 0..2).
     """
-    _check_common(config.n, config.epsilon)
     n = config.n
     rng = np.random.default_rng(config.seed)
     is_out = rng.random(n) < config.epsilon
@@ -115,12 +144,7 @@ def sim2_sample(config: Sim2Config) -> Dataset:
     rho_i^|j - l| via the forward recursion (O(d) per row). Outlier rows are
     the constant vector 4. The whole row is multiplied by `scale`.
     """
-    _check_common(config.n, config.epsilon)
     n, d = config.n, config.d
-    if d < 2:
-        raise ValueError("sim2 needs d >= 2")
-    if config.scale <= 0:
-        raise ValueError("scale must be positive")
     rng = np.random.default_rng(config.seed)
     is_out = rng.random(n) < config.epsilon
     comp = rng.integers(0, 3, size=n)
@@ -151,8 +175,7 @@ def sim2_sample(config: Sim2Config) -> Dataset:
 def profiles_sample(n: int = 5422, d: int = 1440, seed: int = 0) -> Dataset:
     """Binary daily viewing profiles: each row is a union of random
     on-intervals over d minutes, values in {0, 1}. No labels."""
-    if n < 1 or d < 2:
-        raise ValueError("need n >= 1 and d >= 2")
+    ProfilesConfig(n, d, seed)  # checks the parameters
     rng = np.random.default_rng(seed)
     X = np.zeros((n, d))
     n_iv = rng.integers(1, 6, size=n)

@@ -124,20 +124,18 @@ class KMediansState:
         steps[updated] = cvec[updated] / _gain_powers(self.gain, self.update_counts[updated] - 1)
         return steps
 
-    @property
-    def max_step(self) -> float:
-        """Largest gain used so far: a cluster's first step, c_r, is its largest."""
-        updated = self.update_counts > 0
-        return float(self.gain.c_vector(self.k)[updated].max()) if updated.any() else 0.0
-
 
 def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
-    """Start a stream from k pairwise distinct seeds with the given gains."""
+    """Start a stream from k pairwise distinct seeds with the given gains.
+    A bound_K, when given, must be a finite number, and every seed's norm within it."""
     s = _check_seeds(seeds)
     k = s.shape[0]
     gain.c_vector(k)  # validate early
     if bound_K is not None:
-        bound_K = float(bound_K)
+        K = _numbers(bound_K)
+        if K is None or K.ndim or not np.isfinite(K):
+            raise ValueError(f"bound_K must be a finite number, got {bound_K!r}")
+        bound_K = float(K)
         worst = float(_norms(s).max())
         if worst > bound_K + _BOUND_SLACK:
             raise ValueError(f"seed norm {worst:.6g} exceeds bound_K={bound_K:.6g}")

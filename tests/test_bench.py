@@ -52,8 +52,11 @@ def test_validate_rejects_bad_specs():
     with pytest.raises(ValueError, match="d"):
         _tiny_sweep_spec(generator="sim2",
                          generator_params={"n": 60}).validate()
-    with pytest.raises(ValueError, match="positive"):
-        _tiny_sweep_spec(c_grid=[1.0, -2.0]).validate()
+    for c in (-2.0, "0.5", True, float("nan")):  # each entry is checked by GainConfig
+        with pytest.raises(ValueError, match="^c_grid: c_gamma must be positive"):
+            _tiny_sweep_spec(c_grid=[1.0, c]).validate()
+    with pytest.raises(ValueError, match="^c_grid: c_gamma must be scalar"):
+        _tiny_sweep_spec(c_grid=[[1.0, 2.0]]).validate()
     with pytest.raises(ValueError, match="empty algorithm list"):
         _tiny_sweep_spec(algorithms=[]).validate()
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
@@ -81,12 +84,18 @@ def test_validate_rejects_generator_params_the_generator_does_not_take():
 
 
 def test_validate_requires_the_parameters_without_a_default():
-    # each generator config's fields without a default; sizes set n in every cell
+    # each generator config's fields without a default; sizes set n in every cell. Then
+    # the config of each size checks every value, before any cell runs
     for generator, params, sizes, message in (
             ("sim1", {}, None, "generator_params must set n (or provide sizes)"),
             ("sim2", {"n": 60}, None, "generator_params must set d"),
             ("sim2", {}, [60], "generator_params must set d"),
-            ("sim2", {"d": 5}, None, "generator_params must set n (or provide sizes)")):
+            ("sim2", {"d": 5}, None, "generator_params must set n (or provide sizes)"),
+            ("sim2", {"n": "50", "d": 5}, None,
+             "generator_params: n must be an integer >= 1, got '50'"),
+            ("sim2", {"n": 60, "d": 5, "scale": float("inf")}, [30, 60],
+             "generator_params: scale must be a positive finite number, got inf"),
+            ("sim2", {"d": 5.0}, [30], "generator_params: d must be an integer >= 2, got 5.0")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             _tiny_sweep_spec(generator=generator, generator_params=params, sizes=sizes,
                              algorithms=["kmeans"]).validate()

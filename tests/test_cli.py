@@ -495,7 +495,10 @@ def test_bench_rejects_a_spec_missing_a_required_parameter_before_running(tmp_pa
     for generator, params, problem in (
             ("sim1", {"epsilon": 0.1}, "generator_params must set n (or provide sizes)"),
             ("sim2", {"d": 5}, "generator_params must set n (or provide sizes)"),
-            ("sim2", {"n": 30}, "generator_params must set d")):
+            ("sim2", {"n": 30}, "generator_params must set d"),
+            ("sim1", {"n": "50"}, "generator_params: n must be an integer >= 1, got '50'"),
+            ("sim1", {"n": 50, "epsilon": 2.0},
+             "generator_params: epsilon must be a number in [0, 1], got 2.0")):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({**base, "generator": generator,
                                          "generator_params": params}))

@@ -1,6 +1,7 @@
 """Tests for the synthetic data generators."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from seqclust import (
     sim1_sample,
     sim2_sample,
 )
-from seqclust.datagen import SIM1_COVS, SIM1_MEANS, SIM1_OUTLIER, SIM2_RHOS
+from seqclust.datagen import SIM1_COVS, SIM1_MEANS, SIM1_OUTLIER, SIM2_RHOS, generate
 
 
 def test_sim1_full_contamination():
@@ -128,12 +129,43 @@ def test_sim2_matches_cholesky_sampler_in_distribution():
 
 
 def test_sim2_rejects_bad_dims():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^d "):
         sim2_sample(Sim2Config(n=10, d=1, epsilon=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^scale "):
         sim2_sample(Sim2Config(n=10, d=5, epsilon=0.0, scale=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^epsilon "):
         sim1_sample(Sim1Config(n=10, epsilon=1.5))
+
+
+@pytest.mark.parametrize("entry, params, field", [
+    ("sim1", {"n": "50"}, "n"),
+    ("sim1", {"n": 50.5}, "n"),
+    ("sim1", {"n": 50.0}, "n"),
+    ("sim1", {"n": True}, "n"),
+    ("sim1", {"n": 50, "epsilon": "0.1"}, "epsilon"),
+    ("sim2", {"n": 50, "d": 3.0}, "d"),
+    ("sim2", {"n": 50, "d": 3, "scale": float("nan")}, "scale"),
+    ("sim2", {"n": 50, "d": 3, "scale": 0}, "scale"),
+    ("sim2", {"n": 50, "d": 3, "seed": "x"}, "seed"),
+    ("profiles", {"n": 5, "d": 3, "seed": True}, "seed"),
+    ("profiles_sample", {"n": "5", "d": 3}, "n"),
+])
+def test_configs_reject_a_value_of_the_wrong_type_or_range_by_name(entry, params, field):
+    # each parameter's rule is checked when its config is built, before any draw
+    with pytest.raises(ValueError, match=f"^{field} must be .*, got {re.escape(repr(params[field]))}$"):
+        if entry == "profiles_sample":
+            profiles_sample(**params)
+        else:
+            generate(entry, params)
+
+
+def test_configs_take_numpy_integers_seed_lists_and_the_range_ends(tmp_path):
+    # values are stored as given, so the sidecar records them unchanged
+    ds, cfg = generate("sim2", {"n": np.int64(5), "d": 2, "epsilon": 0, "seed": [11, 0, 3]})
+    assert ds.X.shape == (5, 2)
+    meta = json.loads(Path(save_dataset(ds, tmp_path / "s.csv", "sim2", cfg)).read_text())
+    assert meta["params"] == {"n": 5, "d": 2, "epsilon": 0, "scale": 1.0, "seed": [11, 0, 3]}
+    assert generate("sim1", {"n": 1, "epsilon": 1.0})[0].outlier_flags.all()
 
 
 def test_profiles_shape_and_values():

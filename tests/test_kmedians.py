@@ -91,7 +91,6 @@ def test_first_step_hand_computed():
     np.testing.assert_allclose(out.averaged, [[SQ2 / 4.0, 0.0]], rtol=1e-14)
     np.testing.assert_array_equal(out.update_counts, [1])
     assert out.current_steps[0] == 0.5
-    assert out.max_step == 0.5
     # original untouched
     np.testing.assert_array_equal(state.raw, [[0.0, 0.0]])
 
@@ -464,7 +463,6 @@ def test_resumed_current_steps_match_live_stream(tmp_path):
         write_model(kmedians_fit(Dataset(X=X), 5, gain, seeds=seeds), path)
         resumed = state_from_model(read_model(path))
         assert resumed.current_steps.tobytes() == live.current_steps.tobytes(), s
-        assert resumed.max_step == live.max_step
 
 
 def _rebuild_fit(X, k, gain, *, restarts, seed, shuffle, bound_check):
@@ -589,6 +587,9 @@ def test_stream_entry_points_reject_bad_input_naming_the_problem(tmp_path):
          "kmedians_stream: non-finite observations"),
         (lambda: kmedians_init([[0.0, 0.0], [3.0, 4.0]], GainConfig(), bound_K=1.0),
          "seed norm 3.53553 exceeds bound_K=1"),
+        *((lambda K=K: kmedians_init([[0.0, 0.0], [1.0, 1.0]], GainConfig(), bound_K=K),
+           f"^bound_K must be a finite number, got {re.escape(repr(K))}$")
+          for K in (float("nan"), float("inf"), "5", True, [5.0])),
         (lambda: mc_gradient(np.zeros((2, 3)), X),
          r"mc_gradient: centers \(k, d\) and sample \(n, d\) must match"),
         (lambda: state_from_model(read_model(tmp_path / "km.json")),
