@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    ds, cfg = generate(args.generator, vars(args))
+    config = GENERATORS[args.generator].config
+    ds, cfg = generate(args.generator, {f.name: getattr(args, f.name) for f in fields(config)})
     sidecar = save_dataset(ds, args.output, args.generator, cfg)
     n_out = int(ds.outlier_flags.sum()) if ds.outlier_flags is not None else 0
     print(f"wrote {args.output} (n={ds.n}, d={ds.d}, outliers={n_out})")

@@ -59,15 +59,6 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
-def _is_entropy(v) -> bool:
-    """Whether np.random.SeedSequence takes v (an integer >= 0 or a sequence of them), bool aside."""
-    try:
-        np.random.SeedSequence(v)
-    except (TypeError, ValueError):
-        return False
-    return not isinstance(v, bool)
-
-
 # generator parameter -> its `seqclust generate` option type, what a value must be, and the
 # test of a value; a value is checked as given and never converted, so a sidecar records it
 Param = namedtuple("Param", "type rule test")
@@ -77,7 +68,9 @@ PARAMS = {
     "epsilon": Param(float, "a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1),
     "scale": Param(float, "a positive finite number",
                    lambda v: _is_number(v) and 0 < v < np.inf),
-    "seed": Param(int, "an integer >= 0 or a list of them", _is_entropy),
+    "seed": Param(int, "an integer >= 0 or a list of them",
+                  lambda v: all(_is_int(s) and s >= 0
+                                for s in (v if isinstance(v, (list, tuple)) else [v]))),
 }
 
 
@@ -148,24 +141,17 @@ def sim2_sample(config: Sim2Config) -> Dataset:
     rng = np.random.default_rng(config.seed)
     is_out = rng.random(n) < config.epsilon
     comp = rng.integers(0, 3, size=n)
-    eta = rng.standard_normal((n, d))
+    X = rng.standard_normal((n, d))  # the innovations, turned into the noise in place
 
     j = np.arange(1, d + 1)
     means = np.stack([2.0 * np.sin(ph + 2.0 * np.pi * j / (d - 1)) for ph in SIM2_PHASES])
 
-    X = np.empty((n, d))
-    sd = np.sqrt(SIM2_VARIANCE)
-    for c, rho in enumerate(SIM2_RHOS):
-        sel = comp == c
-        if not np.any(sel):
-            continue
-        e = np.empty((int(sel.sum()), d))
-        e[:, 0] = sd * eta[sel, 0]
-        innov = np.sqrt(SIM2_VARIANCE * (1.0 - rho * rho))
-        sub = eta[sel]
-        for col in range(1, d):
-            e[:, col] = rho * e[:, col - 1] + innov * sub[:, col]
-        X[sel] = means[c] + e
+    rho = np.array(SIM2_RHOS)[comp]  # each row's own component's rho
+    innov = np.sqrt(SIM2_VARIANCE * (1.0 - rho * rho))
+    X[:, 0] *= np.sqrt(SIM2_VARIANCE)
+    for col in range(1, d):
+        X[:, col] = rho * X[:, col - 1] + innov * X[:, col]
+    X += means[comp]
     X[is_out] = SIM2_OUTLIER_VALUE
     X *= config.scale
     labels = np.where(is_out, -1, comp)
@@ -204,13 +190,12 @@ GENERATORS = {
 def generate(generator: str, params: dict):
     """Draw a dataset from the named generator; returns (dataset, config).
 
-    The config takes from `params` the fields it has (n, d, epsilon, scale,
-    seed) and its defaults for the optional ones left out; other keys are
-    ignored. The config is what `save_dataset` records in the sidecar.
+    `params` are the config's keyword arguments: any of its fields, and
+    every field without a default; a key it has no field for raises the
+    config's TypeError. The config is what `save_dataset` records in the sidecar.
     """
     gen = GENERATORS[generator]
-    names = {f.name for f in fields(gen.config)}
-    config = gen.config(**{key: val for key, val in params.items() if key in names})
+    config = gen.config(**params)
     return gen.sample(config), config
 
 

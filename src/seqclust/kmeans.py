@@ -92,6 +92,8 @@ def kmeans_step(state: KMeansState, z) -> KMeansState:
     if out.counts.shape != (len(out.centers),):
         raise ValueError(f"kmeans_step: state counts has shape {out.counts.shape}, "
                          f"not ({len(out.centers)},)")
+    if (out.counts < 1).any():  # each count holds its seed
+        raise ValueError(f"kmeans_step: state counts must be >= 1, got {out.counts.tolist()}")
     _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z[None])
     return out
 

@@ -125,6 +125,15 @@ class KMediansState:
         return steps
 
 
+def _finite_bound(bound_K) -> float:
+    """bound_K as a float. NaN and inf are refused: no norm exceeds them, so
+    either would turn the bound check off without a word."""
+    K = _numbers(bound_K)
+    if K is None or K.ndim or not np.isfinite(K):
+        raise ValueError(f"bound_K must be a finite number, got {bound_K!r}")
+    return float(K)
+
+
 def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
     """Start a stream from k pairwise distinct seeds with the given gains.
     A bound_K, when given, must be a finite number, and every seed's norm within it."""
@@ -132,10 +141,7 @@ def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
     k = s.shape[0]
     gain.c_vector(k)  # validate early
     if bound_K is not None:
-        K = _numbers(bound_K)
-        if K is None or K.ndim or not np.isfinite(K):
-            raise ValueError(f"bound_K must be a finite number, got {bound_K!r}")
-        bound_K = float(K)
+        bound_K = _finite_bound(bound_K)
         worst = float(_norms(s).max())
         if worst > bound_K + _BOUND_SLACK:
             raise ValueError(f"seed norm {worst:.6g} exceeds bound_K={bound_K:.6g}")
@@ -311,8 +317,9 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
         raise ValueError("kmedians_stream: expected (m, d) batch matching the state")
     if not np.isfinite(X).all():
         raise ValueError("kmedians_stream: non-finite observations")
+    bound = None if state.bound_K is None else _finite_bound(state.bound_K)
     out = KMediansState(np.array(state.raw, dtype=float), np.array(state.averaged, dtype=float),
-                        state.update_counts.copy(), state.gain, state.bound_K, state.skips)
+                        state.update_counts.copy(), state.gain, bound, state.skips)
     if out.averaged.shape != out.raw.shape:
         raise ValueError(f"kmedians_stream: state averaged has shape {out.averaged.shape}, "
                          f"raw {out.raw.shape}; they must match")
@@ -430,9 +437,7 @@ def mc_gradient(centers, X):
     if used == 0:
         return grad, skipped
     for j in range(k):
-        sel = keep & (r == j)
-        if not np.any(sel):
-            continue
+        sel = keep & (r == j)  # an empty cluster sums to grad's zero row
         diff = C[j] - X[sel]
         grad[j] = (diff / dmin[sel][:, None]).sum(axis=0)
     return grad / used, skipped

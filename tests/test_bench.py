@@ -66,8 +66,9 @@ def test_validate_rejects_bad_specs():
 
 
 def test_validate_rejects_generator_params_the_generator_does_not_take():
-    # generate() drops keys its config does not name, so a misspelt key would
-    # run every cell on default data; `seed` would be overwritten in every cell
+    # validate names a key the config does not take before any cell runs, where
+    # generate() would raise the config's TypeError from the first replication;
+    # `seed` would be overwritten in every cell
     for generator, params, message in (
             ("sim1", {"n": 60, "epsilson": 0.1},
              "generator_params key 'epsilson' is not a sim1 parameter (takes epsilon, n)"),

@@ -148,6 +148,13 @@ def test_sim2_rejects_bad_dims():
     ("sim2", {"n": 50, "d": 3, "scale": 0}, "scale"),
     ("sim2", {"n": 50, "d": 3, "seed": "x"}, "seed"),
     ("profiles", {"n": 5, "d": 3, "seed": True}, "seed"),
+    # None would draw from fresh OS entropy, which no sidecar can record
+    ("sim1", {"n": 3, "seed": None}, "seed"),
+    ("sim1", {"n": 3, "seed": np.array([1, 2])}, "seed"),
+    ("sim1", {"n": 3, "seed": -1}, "seed"),
+    ("sim2", {"n": 3, "d": 2, "seed": [1, -2]}, "seed"),
+    ("sim2", {"n": 3, "d": 2, "seed": (1, True)}, "seed"),
+    ("profiles", {"n": 3, "d": 2, "seed": [[1, 2]]}, "seed"),
     ("profiles_sample", {"n": "5", "d": 3}, "n"),
 ])
 def test_configs_reject_a_value_of_the_wrong_type_or_range_by_name(entry, params, field):
@@ -166,6 +173,20 @@ def test_configs_take_numpy_integers_seed_lists_and_the_range_ends(tmp_path):
     meta = json.loads(Path(save_dataset(ds, tmp_path / "s.csv", "sim2", cfg)).read_text())
     assert meta["params"] == {"n": 5, "d": 2, "epsilon": 0, "scale": 1.0, "seed": [11, 0, 3]}
     assert generate("sim1", {"n": 1, "epsilon": 1.0})[0].outlier_flags.all()
+    by_tuple = generate("sim1", {"n": 4, "seed": (np.uint64(2**63), 0)})[0]
+    np.testing.assert_array_equal(by_tuple.X, generate("sim1", {"n": 4, "seed": [2**63, 0]})[0].X)
+
+
+@pytest.mark.parametrize("entry, params, message", [
+    ("sim1", {"n": 3, "epsilson": 0.1}, "unexpected keyword argument 'epsilson'"),
+    ("sim1", {"n": 3, "d": 2}, "unexpected keyword argument 'd'"),
+    ("profiles", {"scale": 2.0}, "unexpected keyword argument 'scale'"),
+    ("sim2", {"n": 3}, "missing 1 required positional argument: 'd'"),
+])
+def test_generate_takes_exactly_the_config_fields(entry, params, message):
+    # a misspelt or foreign key used to be dropped, drawing default data
+    with pytest.raises(TypeError, match=message):
+        generate(entry, params)
 
 
 def test_profiles_shape_and_values():
