@@ -9,7 +9,10 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,8 +49,17 @@ _SCALAR_EXACT_D = 7
 
 # Working-memory target of normalized_distances: rows of X are taken in blocks
 # whose rows*k*d difference buffer fills about this many bytes, which keeps
-# the buffer in cache at large d and makes small inputs a single block.
+# the buffer in cache at large d and makes small inputs a single block. Each
+# thread of a split call holds its own buffer: halving it per thread lost the
+# gain of the second thread on a 2-vCPU machine (the table in CHANGES.md).
 _BLOCK_BYTES = 256 * 1024
+
+# Threads that share one kernel call, the calling thread included: one per CPU
+# this process may run on, at most 4, so the extra buffers stay within 1 MiB.
+_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_pool: Optional[ThreadPoolExecutor] = None  # the _WORKERS - 1 helpers, made at first use
+_pool_lock = threading.Lock()
 
 
 def normalized_distances(X, centers) -> np.ndarray:
@@ -57,14 +69,18 @@ def normalized_distances(X, centers) -> np.ndarray:
     values holds about _BLOCK_BYTES (at least one row, so it holds k*d values
     when those alone exceed the target): each block's differences to every
     center are written into the buffer, squared in place and summed over d;
-    the division by d and the square root are taken once over the (n, k)
-    result. For d <= _SCALAR_EXACT_D the buffer is (d, B, k) and its d slabs
-    of shape (B, k) are added in turn, which spends one numpy loop per slab
-    rather than one per (row, center) pair; for larger d it is (B, k, d),
-    summed over the contiguous d axis. Working memory is the buffer plus the
-    result, never an n×d temporary, and X is only read. Every entry is
-    computed as sqrt(((x - c)**2).mean()) computes it for a C-order row x, bit
-    for bit, whatever the memory layout of X.
+    the division by d and the square root are taken over the result. For
+    d <= _SCALAR_EXACT_D the buffer is (d, B, k) and its d slabs of shape
+    (B, k) are added in turn, which spends one numpy loop per slab rather than
+    one per (row, center) pair; for larger d it is (B, k, d), summed over the
+    contiguous d axis. A call of two or more blocks is split into contiguous
+    runs of blocks, one per thread; when one row's k*d values already exceed
+    the target, the centers are split into runs instead. Up to _WORKERS
+    threads (one per usable CPU, at most 4) each hold one buffer, so working
+    memory is at most 4 buffers plus the result, never an n×d temporary, and X
+    is only read. Every entry is computed as sqrt(((x - c)**2).mean())
+    computes it for a C-order row x, bit for bit, whatever the memory layout
+    of X and however the call is split.
 
     X is not checked for NaN or inf: fits call this once per restart on rows
     `as_sample` has checked, and the public scorers (`assign_nearest`,
@@ -85,7 +101,39 @@ def normalized_distances(X, centers) -> np.ndarray:
 def _distances_into(X, C, out) -> None:
     """normalized_distances(X, C) written into out, an (n, k) float64 view of
     any strides, for float64 arrays X (n, d) and C (k, d) taken unchecked.
-    Each entry gets the same bits whatever the shape of the call."""
+    Each entry gets the same bits whatever the shape of the call, so the call
+    is split into up to _WORKERS runs of row blocks, or of centers when a
+    block holds one row (and k >= 2), and the calling thread walks the first
+    run while the pool walks the rest. A call of one block or one center
+    starts no thread."""
+    global _pool
+    (n, d), k = X.shape, C.shape[0]
+    rows = max(1, _BLOCK_BYTES // (8 * k * d))
+    by_rows = rows >= 2 or k == 1
+    units = -(-n // rows) if by_rows else k
+    parts = min(_WORKERS, units)
+    if parts <= 1:
+        _blocks_into(X, C, out)
+        return
+    cuts = [units * p // parts for p in range(parts + 1)]
+    if by_rows:
+        runs = [(X[a * rows:b * rows], C, out[a * rows:b * rows]) for a, b in zip(cuts, cuts[1:])]
+    else:
+        runs = [(X, C[a:b], out[:, a:b]) for a, b in zip(cuts, cuts[1:])]
+    with _pool_lock:  # held by the before-fork hook from the pool's shutdown to the fork
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="seqclust")
+        futures = [_pool.submit(_blocks_into, *run) for run in runs[1:]]
+    try:
+        _blocks_into(*runs[0])
+    finally:  # no worker may still write into out once the call returns or raises
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _blocks_into(X, C, out) -> None:
+    """The serial kernel: _distances_into on one thread, through one buffer."""
     (n, d), k = X.shape, C.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * k * d))
     if d <= _SCALAR_EXACT_D:  # d slabs added left to right, as a short row is
@@ -107,6 +155,28 @@ def _distances_into(X, C, out) -> None:
             np.add.reduce(diff, axis=2, out=out[i:i + rows])
     out /= d
     np.sqrt(out, out=out)
+
+
+def _shut_pool_for_fork() -> None:
+    """Before a fork: join the pool, once any runs it holds are done, and hold
+    the lock until the fork is done, so the child is forked with no pool thread
+    and a kernel call on another thread cannot make a new pool meanwhile."""
+    global _pool
+    _pool_lock.acquire()
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
+
+
+def _reset_pool_in_child() -> None:
+    """After a fork, in the child: no inherited pool, a fresh lock."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_shut_pool_for_fork, after_in_parent=lambda: _pool_lock.release(),
+                        after_in_child=_reset_pool_in_child)
 
 
 def assign_nearest(X, centers) -> np.ndarray:

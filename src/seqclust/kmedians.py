@@ -326,6 +326,11 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
     if out.update_counts.shape != (out.k,):
         raise ValueError(f"kmedians_stream: state update_counts has shape "
                          f"{out.update_counts.shape}, not ({out.k},)")
+    counts = out.update_counts.tolist()  # a list: min() over it is cheaper than numpy's
+    if min(counts) < 0:
+        raise ValueError(f"kmedians_stream: state update_counts must be >= 0, got {counts}")
+    if out.skips < 0:
+        raise ValueError(f"kmedians_stream: state skips must be >= 0, got {out.skips}")
     _run_loops(_LOOPS, _BATCH_FROM, [out], out.k, X)
     return out
 

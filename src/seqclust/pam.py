@@ -21,8 +21,8 @@ fit, so memory grows as 8 n^2 bytes: 191 MiB at the cap of n = 5000
 algorithms. The matrix is symmetric bit for bit, so a medoid set's cost is
 read from its gathered columns. Only its upper triangle is computed, in
 slabs of rows written straight into the matrix, and each slab is mirrored
-below the diagonal, so memory stays 8 n^2 bytes plus the kernel's buffer
-(`_dissimilarities`).
+below the diagonal, so memory stays 8 n^2 bytes plus the kernel's buffers,
+one per thread that shares a slab and at most 4 (`_dissimilarities`).
 """
 
 from __future__ import annotations

@@ -2,12 +2,14 @@
 determinism of results files, and the timing/CER variants."""
 
 import json
+import multiprocessing
 import re
+import signal
 
 import numpy as np
 import pytest
 
-from seqclust import cer, kmeans_fit
+from seqclust import cer, core, kmeans_fit, normalized_distances
 from seqclust.bench import (
     PRESET_NAMES,
     ExperimentSpec,
@@ -142,6 +144,34 @@ def test_sweep_is_deterministic_and_order_free(tmp_path):
     t3.write(tmp_path / "c")
     p3 = tmp_path / "c" / "tiny_results.csv"
     assert p3.read_bytes() == p1.read_bytes()
+
+
+def _kill_worker_processes(signum, frame):
+    for child in multiprocessing.active_children():
+        child.kill()
+
+
+def test_worker_processes_forked_after_a_threaded_kernel_call_give_the_same_csv(
+        tmp_path, monkeypatch):
+    # the jobs=2 workers fork from a process whose kernel pool has run, and at
+    # d = 200 their own scoring and PAM calls split over threads again
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    spec = _tiny_sweep_spec(generator="sim2", generator_params={"d": 200}, sizes=[150])
+    X = np.random.default_rng(40).standard_normal((400, 200))
+    normalized_distances(X, X[:3])
+    assert core._pool is not None
+    # a worker hung in the kernel is killed after 60 s, which breaks the pool
+    # and fails the test rather than hanging it
+    handler = signal.signal(signal.SIGALRM, _kill_worker_processes)
+    signal.alarm(60)
+    try:
+        run_experiment(spec, jobs=2).write(tmp_path / "jobs2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    run_experiment(spec).write(tmp_path / "jobs1")
+    name = "tiny_results.csv"
+    assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
 def test_results_files_hold_no_wall_times(tmp_path):

@@ -1,9 +1,13 @@
 """Tests for the core geometry, dataset container and file formats."""
 
 import contextlib
+import hashlib
 import json
 import math
+import multiprocessing
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from seqclust import (
     Dataset,
     assign_nearest,
+    core,
     empirical_l1_risk,
     kmeans_fit,
     kmedians_fit,
@@ -130,7 +135,10 @@ def _blocked_inputs(rng, n, d, k):
 @pytest.mark.filterwarnings("ignore:d=1 data")
 @pytest.mark.parametrize("d", [*range(1, 10), 200, 33_000])  # both layouts and the cut-off
 @pytest.mark.parametrize("k", [1, 3, 50])
-def test_normalized_distances_is_bit_exact_across_blocks(d, k):
+# one thread, and three: uneven runs of row blocks, or of centers at d = 33000
+@pytest.mark.parametrize("workers", [1, 3])
+def test_normalized_distances_is_bit_exact_across_blocks(d, k, workers, monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", workers)
     rows = max(1, _BLOCK_BYTES // (8 * k * d))  # d=33000: one row exceeds the block
     rng = np.random.default_rng([d, k])
     for n in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows + 5}):
@@ -145,6 +153,73 @@ def test_normalized_distances_is_bit_exact_across_blocks(d, k):
             assert assign_nearest(X, C).tobytes() == ref.argmin(axis=1).tobytes()
             assert empirical_l1_risk(X, C) == float(ref.min(axis=1).mean())
             assert X.tobytes() == before
+
+
+def test_a_one_block_call_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    monkeypatch.setattr(core, "_pool", None)
+    threads = threading.active_count()
+    rng = np.random.default_rng(38)
+    # a sim1-lowd scoring call, one block of 300 rows, and one row and center
+    # whose k*d values overflow the block
+    for n, d, k in ((5000, 2, 3), (300, 100, 1), (1, 33_000, 1)):
+        D = normalized_distances(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
+        assert D.shape == (n, k)
+    assert core._pool is None and threading.active_count() == threads
+
+
+def test_a_forked_child_computes_the_parent_bits(monkeypatch):
+    # a child forked with a pool thread alive would wait forever on a worker it
+    # did not inherit; the before-fork hook joins the pool, the child makes its own
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    rng = np.random.default_rng(39)
+    X, C = rng.standard_normal((500, 200)), rng.standard_normal((5, 200))
+    want = hashlib.sha256(normalized_distances(X, C).tobytes()).digest()
+    assert core._pool is not None  # 16 blocks ran on the pool
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(
+        hashlib.sha256(normalized_distances(X, C).tobytes()).digest()))
+    child.start()
+    child.join(timeout=30)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child did not return from the kernel within 30 s")
+    assert child.exitcode == 0 and receive.recv() == want
+    assert core._pool is None  # joined for the fork, made again at the next split call
+    assert hashlib.sha256(normalized_distances(X, C).tobytes()).digest() == want
+
+
+def test_concurrent_callers_get_the_serial_bits(monkeypatch):
+    # six threads each split their calls over the shared pool, with the GIL
+    # switched every microsecond; a run written into the wrong rows or centers,
+    # or a call returning before its runs finish, would change some bytes
+    rng = np.random.default_rng(41)
+    cases = [(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
+             for n, d, k in ((700, 3, 4), (300, 200, 3), (5, 20_000, 6))]
+    monkeypatch.setattr(core, "_WORKERS", 1)
+    want = [normalized_distances(X, C).tobytes() for X, C in cases]
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    got = []
+
+    def caller(i):
+        for _ in range(10):
+            X, C = cases[i % len(cases)]
+            got.append(normalized_distances(X, C).tobytes() == want[i % len(cases)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert len(got) == 60 and all(got)
 
 
 def test_pam_matrix_equals_per_row_distances():

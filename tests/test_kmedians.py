@@ -622,18 +622,31 @@ def _kmedians_state(**fields):
       for K in (math.nan, math.inf, "5")),
     (lambda X: kmedians_step(_kmedians_state(bound_K=math.nan), X[0]),
      "^bound_K must be a finite number, got nan$"),
+    *((lambda X, u=u: kmedians_stream(_kmedians_state(update_counts=np.array(u)), X),
+       re.escape(f"kmedians_stream: state update_counts must be >= 0, got {u}"))
+      for u in ([-1, 0, 0], [-2, 0, 0])),
+    (lambda X: kmedians_step(_kmedians_state(update_counts=np.array([0, 3, -1])), X[0]),
+     re.escape("kmedians_stream: state update_counts must be >= 0, got [0, 3, -1]")),
+    (lambda X: kmedians_stream(_kmedians_state(skips=-5), X),
+     "^kmedians_stream: state skips must be >= 0, got -5$"),
+    (lambda X: kmedians_step(_kmedians_state(skips=-1), X[0]),
+     "^kmedians_stream: state skips must be >= 0, got -1$"),
     (lambda X: kmeans_step(KMeansState(_SEEDS3.copy(), np.array([1, -1, 1])), X[0]),
      re.escape("kmeans_step: state counts must be >= 1, got [1, -1, 1]")),
     (lambda X: kmeans_step(KMeansState(np.eye(3, 9), np.array([-1, 0, 1])), np.zeros(9)),
      re.escape("kmeans_step: state counts must be >= 1, got [-1, 0, 1]")),
 ], ids=["stream-averaged", "step-averaged", "stream-update_counts", "step-update_counts",
         "kmeans_step-counts", "stream-bound-nan", "stream-bound-inf", "stream-bound-str",
-        "step-bound-nan", "kmeans_step-negative-count-d2", "kmeans_step-count-below-1-d9"])
+        "step-bound-nan", "stream-update_counts-minus-1", "stream-update_counts-minus-2",
+        "step-update_counts-negative", "stream-skips-negative", "step-skips-negative",
+        "kmeans_step-negative-count-d2", "kmeans_step-count-below-1-d9"])
 def test_stream_entry_points_reject_a_hand_built_state_of_mismatched_shapes(call, message):
     # 3 centers with 2 averaged rows, 2 update counts or 2 k-means counts used to
     # fail with an IndexError inside the update loop; a NaN or inf bound_K
     # streamed with the bound check off, and "5" failed inside numpy; a k-means
-    # count of -1 raised ZeroDivisionError (d = 2) or left NaN centers (d = 9)
+    # count of -1 raised ZeroDivisionError (d = 2) or left NaN centers (d = 9);
+    # a k-medians update count of -1 or -2 raised a float or complex
+    # ZeroDivisionError in the gain, and skips of -5 streamed on with n_seen short
     X = np.random.default_rng(37).standard_normal((200, 2)) * 3.0
     with pytest.raises(ValueError, match=message):
         call(X)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqclust import (FitReport, GainConfig, draw_seeds, kmeans_fit, kmedians_fit,
+from seqclust import (FitReport, GainConfig, core, draw_seeds, kmeans_fit, kmedians_fit,
                       kmedians_fit_data_driven, kmedians_init, kmedians_step, kmedians_stream,
                       normalized_distances, pam_fit, read_model, state_from_model, write_model)
 from seqclust.datagen import generate, save_dataset
@@ -183,6 +183,14 @@ def test_write_model_writes_the_recorded_bytes(name, tmp_path):
     assert recorded["models"].keys() == MODELS.keys()
     got = _model_hash(name, tmp_path)
     assert got == recorded["models"][name], _mismatch("write_model", name, recorded)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_write_model_bytes_hold_with_the_kernel_on_three_threads(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(core, "_WORKERS", 3)
+    recorded = json.loads(HASHES.read_text())
+    assert _model_hash(name, tmp_path) == recorded["models"][name], _mismatch(
+        "write_model", name, recorded)
 
 
 def test_the_model_cases_reach_the_skips_and_the_seed_jitter():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from seqclust import Dataset, PamSizeError, normalized_distances, pam_fit
+from seqclust import Dataset, PamSizeError, core, normalized_distances, pam_fit
 from seqclust.datagen import Sim1Config, Sim2Config, sim1_sample, sim2_sample
 from seqclust.pam import _EXACT_LIMIT, _SLAB_ROWS, _build_swap, _dissimilarities
 from test_core import _traced_peak
@@ -162,9 +162,12 @@ def test_cached_build_counter_is_quadratic():
 
 
 @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 200])
-def test_dissimilarities_equal_one_kernel_call_bit_for_bit(d):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_dissimilarities_equal_one_kernel_call_bit_for_bit(d, workers, monkeypatch):
     # n below, at and above one slab and off its multiples, with duplicate rows
-    # and -0.0 entries, in C and Fortran order
+    # and -0.0 entries, in C and Fortran order; at d = 200 three threads split
+    # each slab's centers, at d <= 9 the longer slabs' row blocks
+    monkeypatch.setattr(core, "_WORKERS", workers)
     rng = np.random.default_rng(d)
     for n in (1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 3 * _SLAB_ROWS + 5):
         X = rng.standard_normal((n, d)) * 3.0
