@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import _is_int, _write_json
 from .datagen import GENERATORS, generate
 from .kmeans import kmeans_fit
@@ -280,6 +281,12 @@ def _write_rows(path, columns, rows) -> None:
             w.writerow([_fmt(r[c]) for c in columns])
 
 
+def _share_cpus(jobs: int) -> None:
+    """Worker-process initializer: the `jobs` processes divide the CPUs, so each
+    splits its kernel calls over its share of them (one thread on 2 CPUs at jobs=2)."""
+    core._WORKERS = max(1, min(core._WORKERS, core._CPUS // jobs))
+
+
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Run every cell of a sweep or CER spec, over `jobs` worker processes."""
     if jobs < 1:
@@ -287,7 +294,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     spec.validate()
     table = ResultTable(spec=spec)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus, initargs=(jobs,)) as ex:
             parts = list(ex.map(_run_replication, [spec] * spec.replications,
                                 range(spec.replications)))
     else:

@@ -12,7 +12,6 @@ import json
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -56,10 +55,15 @@ _BLOCK_BYTES = 256 * 1024
 
 # Threads that share one kernel call, the calling thread included: one per CPU
 # this process may run on, at most 4, so the extra buffers stay within 1 MiB.
-_WORKERS = min(4, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-_pool: Optional[ThreadPoolExecutor] = None  # the _WORKERS - 1 helpers, made at first use
-_pool_lock = threading.Lock()
+# bench's worker processes divide the CPUs among themselves (bench._share_cpus).
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = min(4, _CPUS)
+
+# Least work one thread of a split call takes on: 2**18 differences, eight full
+# buffers. Starting and joining a thread takes about 70 us, which a shorter run
+# does not win back: split in two, PAM's 32-row slabs of a 2000 x 2 sample (128000
+# differences each) built its matrix 8% slower than one thread (CHANGES.md).
+_RUN_VALUES = 2**18
 
 
 def normalized_distances(X, centers) -> np.ndarray:
@@ -73,14 +77,15 @@ def normalized_distances(X, centers) -> np.ndarray:
     d <= _SCALAR_EXACT_D the buffer is (d, B, k) and its d slabs of shape
     (B, k) are added in turn, which spends one numpy loop per slab rather than
     one per (row, center) pair; for larger d it is (B, k, d), summed over the
-    contiguous d axis. A call of two or more blocks is split into contiguous
-    runs of blocks, one per thread; when one row's k*d values already exceed
-    the target, the centers are split into runs instead. Up to _WORKERS
-    threads (one per usable CPU, at most 4) each hold one buffer, so working
-    memory is at most 4 buffers plus the result, never an n×d temporary, and X
-    is only read. Every entry is computed as sqrt(((x - c)**2).mean())
-    computes it for a C-order row x, bit for bit, whatever the memory layout
-    of X and however the call is split.
+    contiguous d axis. A call of at least 2 * _RUN_VALUES differences is split
+    into contiguous runs of blocks, one per thread, each run started and joined
+    within the call; when one row's k*d values already exceed the target, the
+    centers are split into runs instead. Up to _WORKERS threads (one per
+    usable CPU, at most 4) each hold one buffer, so working memory is at most
+    4 buffers plus the result, never an n×d temporary, and X is only read.
+    Every entry is computed as sqrt(((x - c)**2).mean()) computes it for a
+    C-order row x, bit for bit, whatever the memory layout of X and however
+    the call is split.
 
     X is not checked for NaN or inf: fits call this once per restart on rows
     `as_sample` has checked, and the public scorers (`assign_nearest`,
@@ -103,15 +108,15 @@ def _distances_into(X, C, out) -> None:
     any strides, for float64 arrays X (n, d) and C (k, d) taken unchecked.
     Each entry gets the same bits whatever the shape of the call, so the call
     is split into up to _WORKERS runs of row blocks, or of centers when a
-    block holds one row (and k >= 2), and the calling thread walks the first
-    run while the pool walks the rest. A call of one block or one center
-    starts no thread."""
-    global _pool
+    block holds one row (and k >= 2), each run at least _RUN_VALUES
+    differences: the calling thread walks the first run and one new thread
+    each of the others, all joined before the call returns or raises, so no
+    thread outlives it. A call too small for two runs starts no thread."""
     (n, d), k = X.shape, C.shape[0]
     rows = max(1, _BLOCK_BYTES // (8 * k * d))
     by_rows = rows >= 2 or k == 1
     units = -(-n // rows) if by_rows else k
-    parts = min(_WORKERS, units)
+    parts = min(_WORKERS, units, n * k * d // _RUN_VALUES)
     if parts <= 1:
         _blocks_into(X, C, out)
         return
@@ -120,16 +125,27 @@ def _distances_into(X, C, out) -> None:
         runs = [(X[a * rows:b * rows], C, out[a * rows:b * rows]) for a, b in zip(cuts, cuts[1:])]
     else:
         runs = [(X, C[a:b], out[:, a:b]) for a, b in zip(cuts, cuts[1:])]
-    with _pool_lock:  # held by the before-fork hook from the pool's shutdown to the fork
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="seqclust")
-        futures = [_pool.submit(_blocks_into, *run) for run in runs[1:]]
+    errors: list = []
+    threads = []
     try:
+        for run in runs[1:]:
+            t = threading.Thread(target=_walk, args=(run, errors))
+            t.start()
+            threads.append(t)
         _blocks_into(*runs[0])
-    finally:  # no worker may still write into out once the call returns or raises
-        wait(futures)
-    for f in futures:
-        f.result()
+    finally:  # no thread may still write into out once the call returns or raises
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _walk(run, errors) -> None:
+    """One thread's run of a split call; an error goes back to the caller."""
+    try:
+        _blocks_into(*run)
+    except Exception as e:
+        errors.append(e)
 
 
 def _blocks_into(X, C, out) -> None:
@@ -155,28 +171,6 @@ def _blocks_into(X, C, out) -> None:
             np.add.reduce(diff, axis=2, out=out[i:i + rows])
     out /= d
     np.sqrt(out, out=out)
-
-
-def _shut_pool_for_fork() -> None:
-    """Before a fork: join the pool, once any runs it holds are done, and hold
-    the lock until the fork is done, so the child is forked with no pool thread
-    and a kernel call on another thread cannot make a new pool meanwhile."""
-    global _pool
-    _pool_lock.acquire()
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
-
-
-def _reset_pool_in_child() -> None:
-    """After a fork, in the child: no inherited pool, a fresh lock."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(before=_shut_pool_for_fork, after_in_parent=lambda: _pool_lock.release(),
-                        after_in_child=_reset_pool_in_child)
 
 
 def assign_nearest(X, centers) -> np.ndarray:

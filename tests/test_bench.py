@@ -13,6 +13,7 @@ from seqclust import cer, core, kmeans_fit, normalized_distances
 from seqclust.bench import (
     PRESET_NAMES,
     ExperimentSpec,
+    _share_cpus,
     load_experiment,
     run_experiment,
 )
@@ -153,13 +154,14 @@ def _kill_worker_processes(signum, frame):
 
 def test_worker_processes_forked_after_a_threaded_kernel_call_give_the_same_csv(
         tmp_path, monkeypatch):
-    # the jobs=2 workers fork from a process whose kernel pool has run, and at
-    # d = 200 their own scoring and PAM calls split over threads again
+    # the jobs=2 workers fork right after a kernel call split over threads,
+    # and with 6 CPUs to share, each splits its own d = 200 calls over 3 again
+    monkeypatch.setattr(core, "_CPUS", 6)
     monkeypatch.setattr(core, "_WORKERS", 3)
+    monkeypatch.setattr(core, "_RUN_VALUES", 1)
     spec = _tiny_sweep_spec(generator="sim2", generator_params={"d": 200}, sizes=[150])
     X = np.random.default_rng(40).standard_normal((400, 200))
     normalized_distances(X, X[:3])
-    assert core._pool is not None
     # a worker hung in the kernel is killed after 60 s, which breaks the pool
     # and fails the test rather than hanging it
     handler = signal.signal(signal.SIGALRM, _kill_worker_processes)
@@ -172,6 +174,17 @@ def test_worker_processes_forked_after_a_threaded_kernel_call_give_the_same_csv(
     run_experiment(spec).write(tmp_path / "jobs1")
     name = "tiny_results.csv"
     assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
+
+
+@pytest.mark.parametrize("cpus, workers, jobs, share", [
+    (2, 2, 2, 1), (2, 2, 3, 1), (1, 1, 2, 1), (8, 4, 2, 4), (8, 4, 3, 2), (16, 4, 2, 4)])
+def test_worker_processes_divide_the_cpus_among_their_kernel_threads(
+        cpus, workers, jobs, share, monkeypatch):
+    # jobs=2 on 2 CPUs ran 4 kernel threads on 2 CPUs, slower than one each
+    monkeypatch.setattr(core, "_CPUS", cpus)
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    _share_cpus(jobs)
+    assert core._WORKERS == share
 
 
 def test_results_files_hold_no_wall_times(tmp_path):

@@ -132,13 +132,20 @@ def _blocked_inputs(rng, n, d, k):
     return [(X, C) for X in xs] + [(Dataset(wide[:, ::2]).X, C)]
 
 
+def _split_kernel(monkeypatch, workers):
+    """Split every kernel call of two or more blocks or centers over `workers`."""
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_RUN_VALUES", 1)
+
+
 @pytest.mark.filterwarnings("ignore:d=1 data")
 @pytest.mark.parametrize("d", [*range(1, 10), 200, 33_000])  # both layouts and the cut-off
 @pytest.mark.parametrize("k", [1, 3, 50])
-# one thread, and three: uneven runs of row blocks, or of centers at d = 33000
+# one thread, and three with no least run: uneven runs of row blocks, or of
+# centers at d = 33000
 @pytest.mark.parametrize("workers", [1, 3])
 def test_normalized_distances_is_bit_exact_across_blocks(d, k, workers, monkeypatch):
-    monkeypatch.setattr(core, "_WORKERS", workers)
+    _split_kernel(monkeypatch, workers)
     rows = max(1, _BLOCK_BYTES // (8 * k * d))  # d=33000: one row exceeds the block
     rng = np.random.default_rng([d, k])
     for n in sorted({1, max(1, rows - 1), rows, rows + 1, 3 * rows + 5}):
@@ -155,27 +162,58 @@ def test_normalized_distances_is_bit_exact_across_blocks(d, k, workers, monkeypa
             assert X.tobytes() == before
 
 
-def test_a_one_block_call_starts_no_thread(monkeypatch):
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+@pytest.mark.parametrize("n, d, k, threads", [
+    (5000, 2, 3, 0),       # a sim1-lowd scoring call: one block
+    (300, 100, 1, 0),      # one block of 300 rows
+    (1, 33_000, 1, 0),     # one row and center whose k*d values overflow the block
+    (2000, 2, 64, 0),      # 8 blocks, 256000 differences: too few for two runs
+    (1000, 200, 3, 1),     # sim2 scoring: 19 blocks in two runs of 300000 differences
+    (32, 2000, 1000, 2),   # one row's k*d overflows the block: three runs of centers
+])
+def test_a_call_starts_a_thread_only_for_a_run_of_its_own(n, d, k, threads, monkeypatch):
     monkeypatch.setattr(core, "_WORKERS", 3)
-    monkeypatch.setattr(core, "_pool", None)
-    threads = threading.active_count()
+    monkeypatch.setattr(_CountedThread, "started", 0)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    alive = threading.active_count()
     rng = np.random.default_rng(38)
-    # a sim1-lowd scoring call, one block of 300 rows, and one row and center
-    # whose k*d values overflow the block
-    for n, d, k in ((5000, 2, 3), (300, 100, 1), (1, 33_000, 1)):
-        D = normalized_distances(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
-        assert D.shape == (n, k)
-    assert core._pool is None and threading.active_count() == threads
+    D = normalized_distances(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
+    assert D.shape == (n, k) and _CountedThread.started == threads
+    assert threading.active_count() == alive  # every thread joined within the call
+
+
+def test_an_error_on_a_helper_thread_is_raised_by_the_call(monkeypatch):
+    blocks_into = core._blocks_into
+
+    def fail_off_the_calling_thread(X, C, out):
+        if threading.current_thread() is not caller:
+            raise MemoryError("helper run")
+        blocks_into(X, C, out)
+
+    caller = threading.current_thread()
+    _split_kernel(monkeypatch, 3)
+    monkeypatch.setattr(core, "_blocks_into", fail_off_the_calling_thread)
+    alive = threading.active_count()
+    X = np.random.default_rng(42).standard_normal((400, 200))
+    with pytest.raises(MemoryError, match="helper run"):
+        normalized_distances(X, X[:3])
+    assert threading.active_count() == alive
 
 
 def test_a_forked_child_computes_the_parent_bits(monkeypatch):
-    # a child forked with a pool thread alive would wait forever on a worker it
-    # did not inherit; the before-fork hook joins the pool, the child makes its own
+    # the child is forked right after a call that ran on three threads, and
+    # splits the same call again on its own
     monkeypatch.setattr(core, "_WORKERS", 3)
     rng = np.random.default_rng(39)
-    X, C = rng.standard_normal((500, 200)), rng.standard_normal((5, 200))
+    X, C = rng.standard_normal((2000, 200)), rng.standard_normal((5, 200))
     want = hashlib.sha256(normalized_distances(X, C).tobytes()).digest()
-    assert core._pool is not None  # 16 blocks ran on the pool
     ctx = multiprocessing.get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=lambda: send.send(
@@ -187,20 +225,18 @@ def test_a_forked_child_computes_the_parent_bits(monkeypatch):
         child.join()
         pytest.fail("the forked child did not return from the kernel within 30 s")
     assert child.exitcode == 0 and receive.recv() == want
-    assert core._pool is None  # joined for the fork, made again at the next split call
-    assert hashlib.sha256(normalized_distances(X, C).tobytes()).digest() == want
 
 
 def test_concurrent_callers_get_the_serial_bits(monkeypatch):
-    # six threads each split their calls over the shared pool, with the GIL
-    # switched every microsecond; a run written into the wrong rows or centers,
-    # or a call returning before its runs finish, would change some bytes
+    # six threads each split their calls over threads of their own, with the
+    # GIL switched every microsecond; a run written into the wrong rows or
+    # centers, or a call returning before its runs finish, would change some bytes
     rng = np.random.default_rng(41)
     cases = [(rng.standard_normal((n, d)), rng.standard_normal((k, d)))
              for n, d, k in ((700, 3, 4), (300, 200, 3), (5, 20_000, 6))]
-    monkeypatch.setattr(core, "_WORKERS", 1)
+    _split_kernel(monkeypatch, 1)
     want = [normalized_distances(X, C).tobytes() for X, C in cases]
-    monkeypatch.setattr(core, "_WORKERS", 3)
+    _split_kernel(monkeypatch, 3)
     got = []
 
     def caller(i):

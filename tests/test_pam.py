@@ -168,6 +168,7 @@ def test_dissimilarities_equal_one_kernel_call_bit_for_bit(d, workers, monkeypat
     # and -0.0 entries, in C and Fortran order; at d = 200 three threads split
     # each slab's centers, at d <= 9 the longer slabs' row blocks
     monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(core, "_RUN_VALUES", 1)
     rng = np.random.default_rng(d)
     for n in (1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 3 * _SLAB_ROWS + 5):
         X = rng.standard_normal((n, d)) * 3.0
