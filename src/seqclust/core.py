@@ -9,6 +9,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import warnings
@@ -228,6 +229,22 @@ def _all_finite(X) -> bool:
     return bool(np.isfinite(X.min()) and np.isfinite(X.max()))
 
 
+# Values up to which _finite sums in Python floats: 0.4 us for 6 values and
+# 0.8 us for 32, against 1.4 us for numpy's check at any small size. A stream
+# checks its rows and its state's centers on every call, 16 rows at a time.
+_FEW_VALUES = 64
+
+
+def _finite(a) -> bool:
+    """Whether every entry of the float array a is finite. A sum with a NaN or
+    inf term is NaN or inf, so a finite sum of a few entries proves them all
+    finite; more entries, or a sum that is not finite (finite entries may
+    overflow it), take numpy's elementwise check."""
+    if a.size <= _FEW_VALUES and math.isfinite(sum(a.ravel().tolist())):
+        return True
+    return bool(np.isfinite(a).all())
+
+
 def _column(values, name, n, dtype) -> np.ndarray:
     """A read-only (n,) column of integer labels (dtype int64) or of 0/1 outlier
     flags (dtype bool). The entries are checked as given, before the cast, and
@@ -286,16 +303,21 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def as_sample(data, k: int) -> np.ndarray:
-    """The (n, d) rows a fit of k clusters runs on, checked by `_rows`.
-    Also requires k to be an integer with 1 <= k <= n."""
-    X = _rows(data)
+def _check_k(k, n) -> None:
+    """Require k to be an integer with 1 <= k <= n, the rows there are to choose from."""
     if not _is_int(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if X.shape[0] < k:
-        raise ValueError(f"need at least k={k} observations, got n={X.shape[0]}")
+    if n < k:
+        raise ValueError(f"need at least k={k} observations, got n={n}")
+
+
+def as_sample(data, k: int) -> np.ndarray:
+    """The (n, d) rows a fit of k clusters runs on, checked by `_rows`.
+    Also requires k to be an integer with 1 <= k <= n."""
+    X = _rows(data)
+    _check_k(k, X.shape[0])
     return X
 
 

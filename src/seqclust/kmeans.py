@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FitReport, as_sample
+from .core import FitReport, _finite, as_sample
 from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
                         _scalar_walk)
 
@@ -76,9 +76,9 @@ def _run_restarts(states, X, perms) -> None:
 
 
 _LOOPS = {"scalar": _run_scalar, "numpy": _run_numpy, "batched": _run_restarts}
-# R*k*d from which R >= 2 restarts at d <= 7 walk batched, read off the
-# measured (d, k, R) table in CHANGES.md
-_BATCH_FROM = 60
+# (R*k*d from which R >= 2 restarts at d <= 7 walk batched, R from which they
+# do at d > 7), read off the measured (d, k, R) tables in CHANGES.md
+_BATCH_FROM = (60, 3)
 
 
 def kmeans_step(state: KMeansState, z) -> KMeansState:
@@ -86,12 +86,16 @@ def kmeans_step(state: KMeansState, z) -> KMeansState:
     z = np.asarray(z, dtype=float)
     if z.shape != (state.centers.shape[1],):
         raise ValueError("kmeans_step: dimension mismatch")
-    if not np.isfinite(z).all():
+    if not _finite(z):
         raise ValueError("kmeans_step: non-finite observation")
     out = KMeansState(centers=np.array(state.centers, dtype=float), counts=state.counts.copy())
     if out.counts.shape != (len(out.centers),):
         raise ValueError(f"kmeans_step: state counts has shape {out.counts.shape}, "
                          f"not ({len(out.centers)},)")
+    if not _finite(out.centers):
+        raise ValueError("kmeans_step: state centers contain non-finite values")
+    if out.counts.dtype.kind not in "iu":
+        raise ValueError(f"kmeans_step: state counts must be integers, got {out.counts.tolist()}")
     if (out.counts < 1).any():  # each count holds its seed
         raise ValueError(f"kmeans_step: state counts must be >= 1, got {out.counts.tolist()}")
     _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z[None])

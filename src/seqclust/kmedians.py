@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FitReport, _check_centers, _integers, _numbers, _rows, as_sample,
+from .core import (FitReport, _check_centers, _finite, _integers, _numbers, _rows, as_sample,
                    normalized_distances)
 from .kmeans import kmeans_fit
 from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
@@ -276,10 +276,12 @@ def _consume_restarts(states, X, perms) -> None:
         np.subtract(flat_raw.take(i, axis=0, out=new, mode="clip"), diff, out=new)
         flat_raw[i] = new
         # running mean over {seed} + raw iterates after each update:
-        # ((u + 1) * avg + raw) / (u + 2), in place
-        np.multiply(flat_avg.take(i, axis=0, out=mean, mode="clip"), (u + 1)[:, None], out=mean)
+        # ((u + 1) * avg + raw) / (u + 2), in place, with u + 1 as a float
+        # (exact below 2**53): an int column would be cast inside each (R, d) op
+        w = u + 1.0
+        np.multiply(flat_avg.take(i, axis=0, out=mean, mode="clip"), w[:, None], out=mean)
         np.add(mean, new, out=mean)
-        np.divide(mean, (u + 2)[:, None], out=mean)
+        np.divide(mean, (w + 1.0)[:, None], out=mean)
         flat_avg[i] = mean
         flat_counts[i] = u + 1
         if limit is not None:
@@ -297,9 +299,9 @@ def _consume_restarts(states, X, perms) -> None:
 
 
 _LOOPS = {"scalar": _consume_small, "numpy": _consume, "batched": _consume_restarts}
-# R*k*d from which R >= 2 restarts at d <= 7 walk batched, read off the
-# measured (d, k, R) table in CHANGES.md
-_BATCH_FROM = 300
+# (R*k*d from which R >= 2 restarts at d <= 7 walk batched, R from which they
+# do at d > 7), read off the measured (d, k, R) tables in CHANGES.md
+_BATCH_FROM = (300, 4)
 
 
 def kmedians_step(state: KMediansState, z) -> KMediansState:
@@ -315,7 +317,7 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != state.d:
         raise ValueError("kmedians_stream: expected (m, d) batch matching the state")
-    if not np.isfinite(X).all():
+    if not _finite(X):
         raise ValueError("kmedians_stream: non-finite observations")
     bound = None if state.bound_K is None else _finite_bound(state.bound_K)
     out = KMediansState(np.array(state.raw, dtype=float), np.array(state.averaged, dtype=float),
@@ -326,7 +328,13 @@ def kmedians_stream(state: KMediansState, X) -> KMediansState:
     if out.update_counts.shape != (out.k,):
         raise ValueError(f"kmedians_stream: state update_counts has shape "
                          f"{out.update_counts.shape}, not ({out.k},)")
+    if not _finite(out.raw):
+        raise ValueError("kmedians_stream: state raw contains non-finite values")
+    if not _finite(out.averaged):
+        raise ValueError("kmedians_stream: state averaged contains non-finite values")
     counts = out.update_counts.tolist()  # a list: min() over it is cheaper than numpy's
+    if out.update_counts.dtype.kind not in "iu":
+        raise ValueError(f"kmedians_stream: state update_counts must be integers, got {counts}")
     if min(counts) < 0:
         raise ValueError(f"kmedians_stream: state update_counts must be >= 0, got {counts}")
     if out.skips < 0:

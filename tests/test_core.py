@@ -28,7 +28,7 @@ from seqclust import (
     write_csv,
     write_model,
 )
-from seqclust.core import _BLOCK_BYTES, _CSV_BLOCK_VALUES, _write_json
+from seqclust.core import _BLOCK_BYTES, _CSV_BLOCK_VALUES, _FEW_VALUES, _finite, _write_json
 
 
 def _norm(z):
@@ -351,6 +351,19 @@ def test_dataset_checks_finiteness_without_a_temporary_the_size_of_x():
     # np.isfinite(X) would hold one byte per entry, an eighth of X
     X = np.random.default_rng(10).standard_normal((1000, 1000))
     assert _traced_peak(lambda: Dataset(X)) <= 0.01 * X.nbytes
+
+
+@pytest.mark.parametrize("size", [6, _FEW_VALUES + 1], ids=["few", "many"])
+def test_finite_tells_a_non_finite_entry_from_an_overflowing_sum(size):
+    big = np.full(size, 1e308)  # every entry finite, their sum inf
+    assert _finite(big) and _finite(big.reshape(-1, 1)[::-1])
+    for value in (np.inf, -np.inf, np.nan):
+        a = np.ones(size)
+        a[-1] = value
+        assert not _finite(a), value
+    a = np.ones(size)
+    a[:2] = np.inf, -np.inf  # a NaN sum
+    assert not _finite(a)
 
 
 def test_dataset_d1_warns():

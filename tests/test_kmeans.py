@@ -8,14 +8,18 @@ import pytest
 from seqclust import (
     Dataset,
     KMeansState,
+    core,
     draw_seeds,
     empirical_l1_risk,
     kmeans_fit,
     kmeans_init,
     kmeans_step,
     kmedians_fit,
+    normalized_distances,
 )
-from seqclust.core import _SCALAR_EXACT_D
+from seqclust.core import _BLOCK_BYTES, _SCALAR_EXACT_D
+from seqclust.recursion import _best_restart
+from test_core import _traced_peak
 
 
 def test_init_sets_seeds_and_unit_counts():
@@ -167,6 +171,11 @@ def test_numpy_summation_rules():
         A = rng.standard_normal((m, 40))
         assert (np.add.reduce(A, axis=0) == _left_to_right(A.T)).all(), (
             f"a non-contiguous axis of {m} terms is not added left to right ({where})")
+    # restart scoring takes each risk as one row's mean of a C-order (g, n) array
+    for g, n in ((2, 5000), (10, 1000), (5, 2000), (3, 20001)):
+        A = rng.random((g, n))
+        assert (A.mean(axis=1) == np.array([row.copy().mean() for row in A])).all(), (
+            f"a row of a ({g}, {n}) array does not have its 1-d mean ({where})")
     base = 1.0 + 0.37 * np.arange(20000.0)
     scalar = np.array([b ** 0.75 for b in base.tolist()])
     ulps = np.abs(scalar.view(np.int64) - (base ** 0.75).view(np.int64))
@@ -203,6 +212,57 @@ def test_fit_restart_selection_minimizes_risk():
     single = kmeans_fit(Dataset(X=X), 2, restarts=1, seed=5)
     assert multi.risk <= single.risk + 1e-15
     assert 0 <= multi.restart < 8
+
+
+def _one_call_per_restart(X, centers):
+    """Restart scoring with one kernel call per center set: the reference."""
+    best = None
+    for i, C in enumerate(centers):
+        D = normalized_distances(X, C)
+        risk = float(D.min(axis=1).mean())
+        if best is None or risk < best[0]:
+            best = (risk, i, D.argmin(axis=1))
+    return best
+
+
+@pytest.mark.parametrize("d", [2, 7, 9, 200])
+def test_grouped_scoring_equals_one_kernel_call_per_restart(d):
+    n, k = 2000, 3
+    g = _BLOCK_BYTES // (8 * n * k)  # center sets per kernel call
+    assert g == 5
+    rng = np.random.default_rng(45)
+    means = 3.0 * rng.standard_normal((k, d))
+    X = means[rng.integers(0, k, n)] + rng.standard_normal((n, d))
+
+    def center_sets(R):
+        return [X[rng.choice(n, k, replace=False)] for _ in range(R)]
+
+    for R in (1, g - 1, g, g + 1, 2 * g + 1):
+        centers = center_sets(R)
+        risk, i, assignments = _best_restart(X, centers)
+        want_risk, want_i, want_assignments = _one_call_per_restart(X, centers)
+        assert (risk, i) == (want_risk, want_i), R
+        assert assignments.tobytes() == want_assignments.tobytes(), R
+    # equal risks in one group and across groups: the lowest index wins
+    centers = center_sets(2 * g + 1)
+    for i in (g + 1, g + 2, 2 * g):
+        centers[i] = means.copy()
+    best = _best_restart(X, centers)
+    assert best[1] == g + 1
+    assert best[:2] == _one_call_per_restart(X, centers)[:2]
+
+
+def test_grouped_scoring_holds_at_most_one_more_buffer(monkeypatch):
+    # sim2-highd's scoring at twice its rows: groups of 5 restarts, whose
+    # (n, 15) distances fill one kernel buffer
+    monkeypatch.setattr(core, "_WORKERS", 1)  # the same kernel buffers on any machine
+    n, d, k, R = 2000, 200, 3, 50
+    rng = np.random.default_rng(46)
+    X = rng.standard_normal((n, d))
+    centers = [X[rng.choice(n, k, replace=False)] for _ in range(R)]
+    one_each = _traced_peak(lambda: _one_call_per_restart(X, centers))
+    grouped = _traced_peak(lambda: _best_restart(X, centers))
+    assert grouped <= one_each + 8 * n * k + _BLOCK_BYTES, (grouped, one_each)
 
 
 def test_fit_deterministic_given_seed():
@@ -246,6 +306,25 @@ def test_draw_seeds_jitters_duplicated_rows():
     s = draw_seeds(X, 3, rng)
     assert len({row.tobytes() for row in s}) == 3
     assert np.allclose(s, 1.0, atol=1e-16 * 100)
+
+
+_ROWS5 = np.arange(10.0).reshape(5, 2)
+
+
+@pytest.mark.parametrize("X, k, message", [
+    (_ROWS5, 0, "k must be >= 1"),
+    (_ROWS5, True, "k must be an integer, got True"),
+    (_ROWS5, 2.0, "k must be an integer, got 2.0"),
+    (_ROWS5, 6, "need at least k=6 observations, got n=5"),
+    (np.arange(5.0), 2, r"X must be a 2-d \(n, d\) array with d >= 1, got shape \(5,\)"),
+    (np.zeros((5, 0)), 2, r"X must be a 2-d \(n, d\) array with d >= 1, got shape \(5, 0\)"),
+], ids=["k0", "k-bool", "k-float", "k-above-n", "X-1d", "X-no-columns"])
+def test_draw_seeds_names_a_bad_k_or_X(X, k, message):
+    # k = 0 returned a (0, d) array, True and 2.0 failed inside numpy, k > n with
+    # numpy's "Cannot take a larger sample than population", and a 1-d X
+    # returned k scalars
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        draw_seeds(X, k, np.random.default_rng(0))
 
 
 def test_rows_equal_in_value_are_one_seed():

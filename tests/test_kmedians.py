@@ -535,10 +535,13 @@ def _recording(loops, calls):
 
 
 def test_one_rule_picks_every_loop(monkeypatch):
-    # the cross-overs come from a measured (d, k, R) table (CHANGES.md): R*k*d
-    # = 60 for k-means and 300 for k-medians, so sim1-lowd's shape (R=10, k=3,
-    # d=2) walks batched in k-means and restart by restart in k-medians
-    assert (kmeans._BATCH_FROM, kmedians._BATCH_FROM) == (60, 300)
+    # the cross-overs come from measured (d, k, R) tables (CHANGES.md): at d <= 7
+    # R*k*d = 60 for k-means and 300 for k-medians, so sim1-lowd's shape (R=10,
+    # k=3, d=2) walks batched in k-means and restart by restart in k-medians; at
+    # d > 7, R = 3 for k-means and 4 for k-medians, so profiles-scale's shape
+    # (R=3, k=5, d=1440) walks batched in k-means only, and sim2-highd's (R=50,
+    # k=3, d=200) batched in both
+    assert (kmeans._BATCH_FROM, kmedians._BATCH_FROM) == ((60, 3), (300, 4))
     picks = {  # (R, k, d): (k-means loop, k-medians loop)
         (1, 3, 2): ("scalar", "scalar"),
         (1, 5, 7): ("scalar", "scalar"),
@@ -553,8 +556,14 @@ def test_one_rule_picks_every_loop(monkeypatch):
         (14, 3, 7): ("batched", "scalar"),
         (30, 5, 2): ("batched", "batched"),
         (5, 9, 7): ("batched", "batched"),
-        (2, 2, 8): ("batched", "batched"),
-        (3, 5, 200): ("batched", "batched"),
+        (2, 2, 8): ("numpy", "numpy"),
+        (3, 2, 8): ("batched", "numpy"),
+        (4, 2, 8): ("batched", "batched"),
+        (2, 5, 200): ("numpy", "numpy"),
+        (3, 5, 200): ("batched", "numpy"),
+        (4, 5, 200): ("batched", "batched"),
+        (3, 5, 1440): ("batched", "numpy"),
+        (50, 3, 200): ("batched", "batched"),
     }
     gain = GainConfig()
     for (R, k, d), want in picks.items():
@@ -608,6 +617,13 @@ def _kmedians_state(**fields):
     return replace(kmedians_init(_SEEDS3, GainConfig()), **fields)
 
 
+def _with(A, index, value):
+    """A copy of A with A[index] = value."""
+    A = A.copy()
+    A[index] = value
+    return A
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda X: kmedians_stream(_kmedians_state(averaged=_SEEDS3[:2].copy()), X), _AVG2),
     (lambda X: kmedians_step(_kmedians_state(averaged=_SEEDS3[:2].copy()), X[0]), _AVG2),
@@ -635,18 +651,37 @@ def _kmedians_state(**fields):
      re.escape("kmeans_step: state counts must be >= 1, got [1, -1, 1]")),
     (lambda X: kmeans_step(KMeansState(np.eye(3, 9), np.array([-1, 0, 1])), np.zeros(9)),
      re.escape("kmeans_step: state counts must be >= 1, got [-1, 0, 1]")),
+    (lambda X: kmedians_stream(_kmedians_state(raw=_with(_SEEDS3, (1, 0), math.inf)), X),
+     "^kmedians_stream: state raw contains non-finite values$"),
+    (lambda X: kmedians_step(_kmedians_state(averaged=_with(_SEEDS3, (2, 1), math.nan)), X[0]),
+     "^kmedians_stream: state averaged contains non-finite values$"),
+    (lambda X: kmedians_stream(replace(kmedians_init(np.eye(3, 40), GainConfig()),
+                                       raw=_with(np.eye(3, 40), (0, 39), -math.inf)),
+                               np.zeros((4, 40))),
+     "^kmedians_stream: state raw contains non-finite values$"),
+    (lambda X: kmedians_stream(_kmedians_state(update_counts=np.array([0.5, 0.0, 0.0])), X),
+     re.escape("kmedians_stream: state update_counts must be integers, got [0.5, 0.0, 0.0]")),
+    (lambda X: kmeans_step(KMeansState(_with(_SEEDS3, (0, 0), math.nan), np.ones(3, dtype=int)),
+                           X[0]),
+     "^kmeans_step: state centers contain non-finite values$"),
+    (lambda X: kmeans_step(KMeansState(_SEEDS3[:2].copy(), np.array([1.5, 2.0])), X[0]),
+     re.escape("kmeans_step: state counts must be integers, got [1.5, 2.0]")),
 ], ids=["stream-averaged", "step-averaged", "stream-update_counts", "step-update_counts",
         "kmeans_step-counts", "stream-bound-nan", "stream-bound-inf", "stream-bound-str",
         "step-bound-nan", "stream-update_counts-minus-1", "stream-update_counts-minus-2",
         "step-update_counts-negative", "stream-skips-negative", "step-skips-negative",
-        "kmeans_step-negative-count-d2", "kmeans_step-count-below-1-d9"])
+        "kmeans_step-negative-count-d2", "kmeans_step-count-below-1-d9", "stream-raw-inf",
+        "step-averaged-nan", "stream-raw-inf-d40", "stream-update_counts-float",
+        "kmeans_step-centers-nan", "kmeans_step-counts-float"])
 def test_stream_entry_points_reject_a_hand_built_state_of_mismatched_shapes(call, message):
     # 3 centers with 2 averaged rows, 2 update counts or 2 k-means counts used to
     # fail with an IndexError inside the update loop; a NaN or inf bound_K
     # streamed with the bound check off, and "5" failed inside numpy; a k-means
     # count of -1 raised ZeroDivisionError (d = 2) or left NaN centers (d = 9);
     # a k-medians update count of -1 or -2 raised a float or complex
-    # ZeroDivisionError in the gain, and skips of -5 streamed on with n_seen short
+    # ZeroDivisionError in the gain, and skips of -5 streamed on with n_seen short;
+    # inf or NaN centers streamed on and stayed in the result, and k-means counts
+    # of [1.5, 2.0] came back as float counts [2.5, 2.0]
     X = np.random.default_rng(37).standard_normal((200, 2)) * 3.0
     with pytest.raises(ValueError, match=message):
         call(X)

@@ -47,7 +47,9 @@ DATASETS = {
 }
 
 # d on both sides of every loop cut-off, and restart counts that walk each
-# restart alone (R = 1), alone or batched by R*k*d (R = 3) and batched (R = 20)
+# restart alone (R = 1), alone or batched by the fit's cross-overs (R = 3: by
+# R*k*d up to d = 7; above, batched in k-means and alone in k-medians) and
+# batched (R = 20)
 _DIMS = (1, 2, 7, 8, 9, 50)
 _RESTARTS = (1, 3, 20)
 _K = 3
