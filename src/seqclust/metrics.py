@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _rows, normalized_distances
+from .core import _row_min, _rows, normalized_distances
 
 __all__ = ["empirical_l1_risk", "cer"]
 
@@ -18,8 +18,7 @@ def empirical_l1_risk(data, centers) -> float:
     X = _rows(data)
     if X.shape[0] == 0:
         raise ValueError("empirical_l1_risk: need a non-empty (n, d) sample")
-    D = normalized_distances(X, centers)
-    return float(D.min(axis=1).mean())
+    return float(_row_min(normalized_distances(X, centers).T).mean())
 
 
 def cer(p, q, outlier_flags=None) -> float:

@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from .core import FitReport, _distances_into, as_sample
+from .core import FitReport, _distances_into, _row_min, as_sample
 
 __all__ = ["PamSizeError", "pam_fit"]
 
@@ -69,7 +69,7 @@ def pam_fit(data, k: int) -> FitReport:
         k=len(medoids),
         d=X.shape[1],
         centers=X[medoids].copy(),
-        risk=float(rows.min(axis=1).mean()),
+        risk=float(_row_min(rows.T).mean()),
         assignments=rows.argmin(axis=1),
         wall_time=time.perf_counter() - t0,
         distance_evals=evals,
@@ -97,7 +97,7 @@ def _dissimilarities(X):
 def _enumerate(D, k):
     """Every medoid subset; ties go to the first (lexicographically smallest)."""
     return min(itertools.combinations(range(D.shape[0]), k),
-               key=lambda c: D[:, c].min(axis=1).mean())
+               key=lambda c: _row_min(D[:, c].T).mean())
 
 
 def _candidates(D, ref, medoids):

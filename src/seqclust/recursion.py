@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .core import (_BLOCK_BYTES, _SCALAR_EXACT_D, FitReport, _check_centers, _check_k, _is_int,
-                   normalized_distances)
+                   _row_min, normalized_distances)
 
 __all__ = ["draw_seeds"]
 
@@ -83,10 +83,15 @@ def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
     the draws do not depend on how the restarts are run. run_all(S, X, perms)
     streams the rows through the (R, k, d) seed block S, restart i in the
     i-th row order, with the loops `_run_loops` picks, and returns one
-    (centers, state) per restart. Every restart's centers are scored by
-    empirical L1 risk, several restarts to one kernel call (`_best_restart`).
-    Returns the report of the lowest-risk restart, the first of equal ones,
-    with the fields both fits share, and that restart's state.
+    (centers, state) per restart. `_best_restart` picks the restart of least
+    empirical L1 risk: each restart's risk is first bounded from one matrix
+    product per block of rows, and only the restarts whose interval can still
+    hold the least risk are scored by the exact kernel, so the risk, restart
+    and assignments are those of exact scoring of every restart, bit for bit,
+    on a BLAS whose dgemm sums each entry's d products (fused or not, in any
+    order) and never uses a Strassen-type scheme. Returns the report of the
+    lowest-risk restart, the first of equal ones, with the fields both fits
+    share, and that restart's state.
     """
     t0 = time.perf_counter()
     n, d = X.shape
@@ -129,29 +134,111 @@ def _fit_restarts(algorithm, X, k, run_all, *, seeds, restarts, seed, shuffle):
 def _best_restart(X, centers):
     """(risk, i, assignments) of the lowest-risk (k, d) center set of the list
     `centers` by empirical L1 risk over the rows of X, i its index; ties go to
-    the lowest index. The sets are scored g at a time, g = _BLOCK_BYTES //
-    (8*n*k) but at least 1, with one kernel call over their g*k stacked
-    centers, so a group's (n, g*k) distances fill at most one kernel buffer,
-    or one set's (n, k) when that alone is larger. Each row's nearest distance
-    is taken by k - 1 elementwise minimums of whole (g, n) columns, 14-31x
-    faster than a min over k values per row. The bits are those of one
+    the lowest index. With two or more sets, `_risk_bounds` first gives each
+    an interval that holds its exact risk: a risk from one matrix product per
+    block of rows, widened by a rounding-error bound that holds for any dgemm
+    that sums each entry's products in some order, fused or not, and uses no
+    Strassen-type scheme. Only the sets whose lower bound is at or below the
+    least upper bound are scored exactly: every other set is beaten by the set
+    of that upper bound, and the winner is never dropped. The sets left are
+    scored g at a time, g = _BLOCK_BYTES // (8*n*k) but at least 1, with one
+    kernel call over their g*k stacked centers, so a group's (n, g*k)
+    distances fill at most one kernel buffer, or one set's (n, k) when that
+    alone is larger. The bits are those of one
     D.min(axis=1).mean() per set: an entry of the kernel does not depend on
-    the centers beside it, a minimum is exact, and each row of a C-order
+    the centers beside it, `_row_min` is exact, and each row of a C-order
     (g, n) array has the mean its 1-D copy has (tests/test_kmeans.py)."""
     n, k = X.shape[0], centers[0].shape[0]
+    keep = [0]
+    if len(centers) >= 2:
+        lo, hi = _risk_bounds(X, centers)
+        keep = np.flatnonzero(lo <= hi.min()).tolist()
     g = max(1, _BLOCK_BYTES // (8 * n * k))
     best = None
-    for i in range(0, len(centers), g):
-        D = normalized_distances(X, np.concatenate(centers[i:i + g]))
-        cols = D.reshape(n, -1, k).transpose(2, 1, 0)  # (k, g, n) view
-        mins = cols[0].copy()  # C order
-        for r in range(1, k):
-            np.minimum(mins, cols[r], out=mins)
-        for j, risk in enumerate(mins.mean(axis=1).tolist()):
+    for i in range(0, len(keep), g):
+        group = keep[i:i + g]
+        D = normalized_distances(X, np.concatenate([centers[j] for j in group]))
+        mins = _row_min(D.reshape(n, -1, k).transpose(2, 1, 0))  # (g, n), C order
+        for p, risk in enumerate(mins.mean(axis=1).tolist()):
             if best is None or risk < best[0]:
-                best = (risk, i + j, D[:, j * k:(j + 1) * k].argmin(axis=1))
-        del D, cols, mins  # the next group's call holds nothing of this one
+                best = (risk, group[p], D[:, p * k:(p + 1) * k].argmin(axis=1))
+        del D, mins  # the next group's call holds nothing of this one
     return best
+
+
+# float64's unit roundoff u and least subnormal
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
+
+
+def _gamma(m):
+    """Higham's gamma_m = m*u / (1 - m*u), which bounds the relative error
+    of m roundings in a row (Accuracy and Stability of Numerical Algorithms,
+    section 3.1)."""
+    return m * _U / (1 - m * _U)
+
+
+def _risk_bounds(X, centers):
+    """(lo, hi), two (R,) arrays with lo[j] <= risk <= hi[j] for each (k, d)
+    center set j of the list `centers`, risk the value the exact scoring gives
+    it: D.min(axis=1).mean() of D = normalized_distances(X, centers[j]).
+
+    X is walked in blocks of rows, each through one matrix product with the
+    R*k stacked centers, laid out so that center r of set j is row r*R + j.
+    A row x's squared distance to c is taken as s~ = -2 x.c + |c|^2 + |x|^2,
+    which is off by at most gamma_(d+3) (|x| + |c|)^2 + 2d*tiny when the
+    product and the norms sum their d terms in any order, fused or not; BLAS's
+    dgemm is assumed to do that, and to use no Strassen-type scheme. So the
+    least exact squared distance from x to a set lies within
+    E = 2 gamma_(2d+8) (|x|^2 + max |c|^2) + 4d*tiny of that set's least s~,
+    m~, taken by `_row_min` over the set's k columns. The sums over the rows
+    of sqrt(max(m~ - E, 0)) and sqrt(m~ + E), over n sqrt(d), are then widened
+    by the factor 1 -+ gamma_(2(n+d)+16) and by 2^-535. That covers the
+    kernel's rounding (gamma_(d+4) per distance, 2^-536 where its squares
+    underflow), the mean's (gamma_n, in any order), and the bounds' own.
+    When a square might overflow, 2 (max |x|^2 + max |c|^2) not below
+    2^1020, or a sum is not finite, nothing is certified: every interval is
+    (-inf, inf), which keeps every set.
+
+    The product's buffer holds about _BLOCK_BYTES, and X is only read."""
+    n, d = X.shape
+    R, k = len(centers), centers[0].shape[0]
+    m = R * k
+    C = np.stack(centers, axis=1).reshape(m, d)  # a new array: row r*R + j is centers[j][r]
+    rows = max(1, _BLOCK_BYTES // (8 * (m + R)))
+    buf = np.empty((m + R) * min(rows, n))
+    sums = np.zeros((2, R))  # of sqrt(max(m~ - E, 0)) and of sqrt(m~ + E) over the rows
+    x_max = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        cn = np.einsum("ij,ij->i", C, C)
+        c_max = cn.max()
+        C *= -2.0
+        for i in range(0, n, rows):
+            block = X[i:i + rows]
+            b = block.shape[0]
+            P = np.matmul(C, block.T, out=buf[:m * b].reshape(m, b))
+            P += cn[:, None]
+            M = _row_min(P.reshape(k, R, b), out=buf[m * b:(m + R) * b].reshape(R, b))
+            xn = np.einsum("ij,ij->i", block, block)
+            M += xn
+            x_max = max(x_max, xn.max())
+            E = xn  # now each row's margin
+            E += c_max
+            E *= 2.0 * _gamma(2 * d + 8)
+            E += 4 * d * _TINY
+            low = buf[:R * b].reshape(R, b)  # P is spent
+            np.subtract(M, E, out=low)
+            np.maximum(low, 0.0, out=low)
+            np.sqrt(low, out=low)
+            sums[0] += low.sum(axis=1)
+            M += E
+            np.sqrt(M, out=M)
+            sums[1] += M.sum(axis=1)
+    if not (2.0 * (x_max + c_max) < 2.0 ** 1020 and np.isfinite(sums).all()):
+        return np.full(R, -np.inf), np.full(R, np.inf)
+    sums /= n * math.sqrt(d)
+    delta = _gamma(2 * (n + d) + 16)
+    return sums[0] * (1.0 - delta) - 2.0 ** -535, sums[1] * (1.0 + delta) + 2.0 ** -535
 
 
 def _scalar_walk(centers, X):

@@ -28,7 +28,7 @@ from seqclust import (
     write_csv,
     write_model,
 )
-from seqclust.core import _BLOCK_BYTES, _CSV_BLOCK_VALUES, _FEW_VALUES, _finite, _write_json
+from seqclust.core import _BLOCK_BYTES, _CSV_BLOCK_VALUES, _FEW_VALUES, _finite, _row_min, _write_json
 
 
 def _norm(z):
@@ -160,6 +160,25 @@ def test_normalized_distances_is_bit_exact_across_blocks(d, k, workers, monkeypa
             assert assign_nearest(X, C).tobytes() == ref.argmin(axis=1).tobytes()
             assert empirical_l1_risk(X, C) == float(ref.min(axis=1).mean())
             assert X.tobytes() == before
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 9])
+def test_row_min_has_the_bits_of_a_min_over_each_row(k):
+    # k - 1 minimums over whole columns, against numpy's reduction over each
+    # row's k values, on C- and Fortran-order matrices with ties and infinities
+    rng = np.random.default_rng([7, k])
+    D = np.round(rng.random((1001, k)) * 20) / 4
+    D[::97] = np.inf
+    D[5, -1] = -np.inf
+    for M in (D, np.asfortranarray(D), D[::-2]):
+        want = M.min(axis=1)
+        got = _row_min(M.T)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        out = np.empty(M.shape[0])
+        assert _row_min(M.T, out=out) is out and out.tobytes() == want.tobytes()
+    # the first axis of a stack of matrices: every one of its (g, n) minimums
+    S = rng.random((k, 4, 300))
+    assert _row_min(S).tobytes() == S.min(axis=0).tobytes()
 
 
 class _CountedThread(threading.Thread):

@@ -8,6 +8,7 @@ import pytest
 from seqclust import (
     Dataset,
     KMeansState,
+    Sim2Config,
     core,
     draw_seeds,
     empirical_l1_risk,
@@ -16,9 +17,11 @@ from seqclust import (
     kmeans_step,
     kmedians_fit,
     normalized_distances,
+    recursion,
+    sim2_sample,
 )
 from seqclust.core import _BLOCK_BYTES, _SCALAR_EXACT_D
-from seqclust.recursion import _best_restart
+from seqclust.recursion import _best_restart, _risk_bounds
 from test_core import _traced_peak
 
 
@@ -263,6 +266,74 @@ def test_grouped_scoring_holds_at_most_one_more_buffer(monkeypatch):
     one_each = _traced_peak(lambda: _one_call_per_restart(X, centers))
     grouped = _traced_peak(lambda: _best_restart(X, centers))
     assert grouped <= one_each + 8 * n * k + _BLOCK_BYTES, (grouped, one_each)
+
+
+def _exactly_scored(monkeypatch):
+    """The number of centers each exact scoring call of recursion takes, as a
+    list that fills while the test runs."""
+    sizes = []
+
+    def counted(X, C):
+        sizes.append(len(C))
+        return normalized_distances(X, C)
+
+    monkeypatch.setattr(recursion, "normalized_distances", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 200])
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-162, 0.0), (1e-170, 0.0), (1.0, 1e6)],
+                         ids=["unit", "subnormal", "tiny", "offset"])
+def test_screened_interval_holds_every_exact_risk(d, scale, offset):
+    # at 1e-162 the kernel's squares are subnormal and at 1e-170 they underflow
+    # to 0, and a 1e6 offset makes the norms dwarf the distances: each loosens
+    # the bounds, none breaks them
+    n, k, R = 600, 3, 12
+    rng = np.random.default_rng([d, 47])
+    means = 3.0 * rng.standard_normal((k, d))
+    X = (means[rng.integers(0, k, n)] + rng.standard_normal((n, d))) * scale + offset
+    centers = [X[rng.choice(n, k, replace=False)] + 0.3 * scale * rng.standard_normal((k, d))
+               for _ in range(R)]
+    centers[3] = means * scale + offset
+    centers[7] = centers[3].copy()  # a duplicated set: index 3 scores first
+    centers[9] = np.nextafter(centers[3], np.inf)  # a set 1 ulp away
+    lo, hi = _risk_bounds(X, centers)
+    risks = np.array([normalized_distances(X, C).min(axis=1).mean() for C in centers])
+    assert np.isfinite(lo).all() and np.isfinite(hi).all()
+    assert (lo <= risks).all() and (risks <= hi).all(), (lo - risks, hi - risks)
+    risk, i, assignments = _best_restart(X, centers)
+    want_risk, want_i, want_assignments = _one_call_per_restart(X, centers)
+    assert (risk, i) == (want_risk, want_i) and i != 7
+    assert assignments.tobytes() == want_assignments.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e153, 1e160])
+def test_restarts_whose_squares_may_overflow_are_all_scored_exactly(scale, monkeypatch):
+    # at 1e153 the norms come too near the overflow for a certified bound,
+    # though every distance is finite; at 1e160 the squares overflow, every
+    # risk is inf, and the lowest index wins
+    n, d, k, R = 300, 8, 3, 6
+    rng = np.random.default_rng(48)
+    X = rng.standard_normal((n, d)) * scale
+    centers = [X[rng.choice(n, k, replace=False)] for _ in range(R)]
+    lo, hi = _risk_bounds(X, centers)
+    assert (lo == -np.inf).all() and (hi == np.inf).all()
+    with np.errstate(over="ignore"):
+        want = _one_call_per_restart(X, centers)
+        scored = _exactly_scored(monkeypatch)
+        risk, i, assignments = _best_restart(X, centers)
+    assert sum(scored) == R * k
+    assert (risk, i) == want[:2] and assignments.tobytes() == want[2].tobytes()
+    assert math.isfinite(risk) == (scale < 1e155)
+
+
+def test_sim2_restarts_are_screened_before_exact_scoring(monkeypatch):
+    # sim2-highd's shape: a screen that kept every restart would still give
+    # the right bits, so only the count of exactly scored centers shows it
+    data = sim2_sample(Sim2Config(n=1000, d=200, epsilon=0.05, scale=10.0, seed=1))
+    scored = _exactly_scored(monkeypatch)
+    kmeans_fit(data, 3, restarts=50, seed=1)
+    assert 3 <= sum(scored) < 50 * 3
 
 
 def test_fit_deterministic_given_seed():
