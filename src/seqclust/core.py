@@ -31,12 +31,17 @@ __all__ = [
 ]
 
 
-def _check_centers(centers) -> np.ndarray:
-    c = np.asarray(centers, dtype=float)
-    if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-        raise ValueError("centers must be a (k, d) array with k >= 1, d >= 1")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("centers contain non-finite values")
+def _check_centers(centers, name="centers") -> np.ndarray:
+    """A float copy of centers, which must be a finite (k, d) array with k, d >= 1;
+    the error calls them `name`."""
+    try:
+        c = np.array(centers, dtype=float)
+    except (TypeError, ValueError):  # ragged nesting, or a string
+        c = None
+    if c is None or c.ndim != 2 or c.size == 0:
+        raise ValueError(f"{name} must be a (k, d) array with k >= 1, d >= 1")
+    if not _finite(c):
+        raise ValueError(f"{name} contain non-finite values")
     return c
 
 

@@ -12,15 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FitReport, _finite, as_sample
+from .core import FitReport, _check_centers, as_sample
 from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
-                        _scalar_walk)
+                        _scalar_walk, _state_counts, _stream_rows)
 
 __all__ = ["KMeansState", "kmeans_init", "kmeans_step", "kmeans_fit"]
 
 
 @dataclass
 class KMeansState:
+    """A stream takes a state whose centers are a finite (k, d) array and
+    counts a (k,) integer array >= 1, as each count holds its seed."""
+
     centers: np.ndarray  # (k, d) running barycenters
     counts: np.ndarray   # (k,) allocation counts, seed included
 
@@ -81,24 +84,20 @@ _LOOPS = {"scalar": _run_scalar, "numpy": _run_numpy, "batched": _run_restarts}
 _BATCH_FROM = (60, 3)
 
 
+def _checked(state: KMeansState) -> KMeansState:
+    """A float copy of state after the one check of KMeansState's rules; the
+    ValueError names the field."""
+    centers = _check_centers(state.centers, "state centers")
+    return KMeansState(centers, _state_counts(state.counts, "counts", len(centers), 1))
+
+
 def kmeans_step(state: KMeansState, z) -> KMeansState:
-    """Consume one observation, returning the new state (input left untouched)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (state.centers.shape[1],):
-        raise ValueError("kmeans_step: dimension mismatch")
-    if not _finite(z):
-        raise ValueError("kmeans_step: non-finite observation")
-    out = KMeansState(centers=np.array(state.centers, dtype=float), counts=state.counts.copy())
-    if out.counts.shape != (len(out.centers),):
-        raise ValueError(f"kmeans_step: state counts has shape {out.counts.shape}, "
-                         f"not ({len(out.centers)},)")
-    if not _finite(out.centers):
-        raise ValueError("kmeans_step: state centers contain non-finite values")
-    if out.counts.dtype.kind not in "iu":
-        raise ValueError(f"kmeans_step: state counts must be integers, got {out.counts.tolist()}")
-    if (out.counts < 1).any():  # each count holds its seed
-        raise ValueError(f"kmeans_step: state counts must be >= 1, got {out.counts.tolist()}")
-    _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z[None])
+    """Consume one observation, returning the new state (input left untouched).
+    A state that breaks KMeansState's rules, or a z that is not d finite
+    values (taken as a (1, d) batch), raise a ValueError naming the field."""
+    out = _checked(state)
+    z = _stream_rows(np.asarray(z, dtype=float)[None], out.centers.shape[1])
+    _run_loops(_LOOPS, _BATCH_FROM, [out], len(out.centers), z)
     return out
 
 

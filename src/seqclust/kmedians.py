@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (FitReport, _check_centers, _finite, _integers, _numbers, _rows, as_sample,
+from .core import (FitReport, _check_centers, _integers, _is_int, _numbers, _rows, as_sample,
                    normalized_distances)
 from .kmeans import kmeans_fit
 from .recursion import (_batched_walk, _check_seeds, _fit_restarts, _numpy_walk, _run_loops,
-                        _scalar_walk)
+                        _scalar_walk, _state_counts, _stream_rows)
 
 __all__ = [
     "GainConfig",
@@ -79,21 +79,26 @@ class GainConfig:
             raise ValueError("alpha must lie in (1/2, 1]")
         object.__setattr__(self, "_c", c.astype(float).reshape(-1))  # c_vector only broadcasts it
 
+    def _check_length(self, k: int) -> None:
+        """Refuse a c_gamma that is neither scalar nor of length k."""
+        if self._c.size not in (1, k):
+            raise ValueError(f"c_gamma must be scalar or length {k}, got length {self._c.size}")
+
     def c_vector(self, k: int) -> np.ndarray:
         """(k,) gain constants: c_gamma broadcast to the k clusters."""
-        c = self._c
-        if c.size == 1:
-            return np.full(k, c[0])
-        if c.size != k:
-            raise ValueError(f"c_gamma must be scalar or length {k}, got length {c.size}")
-        return c.copy()
+        self._check_length(k)
+        return self._c.repeat(k) if self._c.size == 1 else self._c.copy()
 
 
 @dataclass
 class KMediansState:
     """Mutable per-stream state. `raw` are the gradient iterates, `averaged`
     the running means returned as the estimate. What else a stream reports
-    follows from the update counts, the skips and the gain."""
+    follows from the update counts, the skips and the gain. A stream takes a
+    state whose raw and averaged centers are finite (k, d) arrays of one shape,
+    update_counts a (k,) integer array >= 0, skips an integer >= 0, gain a
+    GainConfig with c_gamma scalar or of length k, and bound_K None or a
+    finite number."""
 
     raw: np.ndarray
     averaged: np.ndarray
@@ -138,20 +143,12 @@ def kmedians_init(seeds, gain: GainConfig, *, bound_K=None) -> KMediansState:
     """Start a stream from k pairwise distinct seeds with the given gains.
     A bound_K, when given, must be a finite number, and every seed's norm within it."""
     s = _check_seeds(seeds)
-    k = s.shape[0]
-    gain.c_vector(k)  # validate early
     if bound_K is not None:
         bound_K = _finite_bound(bound_K)
         worst = float(_norms(s).max())
         if worst > bound_K + _BOUND_SLACK:
             raise ValueError(f"seed norm {worst:.6g} exceeds bound_K={bound_K:.6g}")
-    return KMediansState(
-        raw=s,
-        averaged=s.copy(),
-        update_counts=np.zeros(k, dtype=np.int64),
-        gain=gain,
-        bound_K=bound_K,
-    )
+    return _checked(KMediansState(s, s, np.zeros(len(s), dtype=np.int64), gain, bound_K))
 
 
 def _gain_powers(gain: GainConfig, us) -> np.ndarray:
@@ -304,42 +301,37 @@ _LOOPS = {"scalar": _consume_small, "numpy": _consume, "batched": _consume_resta
 _BATCH_FROM = (300, 4)
 
 
+def _checked(state: KMediansState) -> KMediansState:
+    """A float copy of state after the one check of KMediansState's rules, which
+    every stream entry point and state_from_model call; the error names the field."""
+    raw = _check_centers(state.raw, "state raw centers")
+    avg = _check_centers(state.averaged, "state averaged centers")
+    if avg.shape != raw.shape:
+        raise ValueError(f"state averaged centers have shape {avg.shape}, raw centers "
+                         f"{raw.shape}; they must match")
+    k = raw.shape[0]
+    counts = _state_counts(state.update_counts, "update_counts", k, 0)
+    if not _is_int(state.skips) or state.skips < 0:
+        raise ValueError(f"state skips must be an integer >= 0, got {state.skips!r}")
+    if not isinstance(state.gain, GainConfig):
+        raise ValueError(f"state gain must be a GainConfig, got {state.gain!r}")
+    state.gain._check_length(k)
+    bound = None if state.bound_K is None else _finite_bound(state.bound_K)
+    return KMediansState(raw, avg, counts, state.gain, bound, state.skips)
+
+
 def kmedians_step(state: KMediansState, z) -> KMediansState:
-    """Consume one observation, returning the new state (input left untouched)."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (state.d,):
-        raise ValueError("kmedians_step: dimension mismatch")
-    return kmedians_stream(state, z[None, :])
+    """Consume one observation, returning the new state (input left untouched):
+    kmedians_stream on z as a (1, d) batch."""
+    return kmedians_stream(state, np.asarray(z, dtype=float)[None])
 
 
 def kmedians_stream(state: KMediansState, X) -> KMediansState:
-    """Consume a batch of observations in row order; returns the new state."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != state.d:
-        raise ValueError("kmedians_stream: expected (m, d) batch matching the state")
-    if not _finite(X):
-        raise ValueError("kmedians_stream: non-finite observations")
-    bound = None if state.bound_K is None else _finite_bound(state.bound_K)
-    out = KMediansState(np.array(state.raw, dtype=float), np.array(state.averaged, dtype=float),
-                        state.update_counts.copy(), state.gain, bound, state.skips)
-    if out.averaged.shape != out.raw.shape:
-        raise ValueError(f"kmedians_stream: state averaged has shape {out.averaged.shape}, "
-                         f"raw {out.raw.shape}; they must match")
-    if out.update_counts.shape != (out.k,):
-        raise ValueError(f"kmedians_stream: state update_counts has shape "
-                         f"{out.update_counts.shape}, not ({out.k},)")
-    if not _finite(out.raw):
-        raise ValueError("kmedians_stream: state raw contains non-finite values")
-    if not _finite(out.averaged):
-        raise ValueError("kmedians_stream: state averaged contains non-finite values")
-    counts = out.update_counts.tolist()  # a list: min() over it is cheaper than numpy's
-    if out.update_counts.dtype.kind not in "iu":
-        raise ValueError(f"kmedians_stream: state update_counts must be integers, got {counts}")
-    if min(counts) < 0:
-        raise ValueError(f"kmedians_stream: state update_counts must be >= 0, got {counts}")
-    if out.skips < 0:
-        raise ValueError(f"kmedians_stream: state skips must be >= 0, got {out.skips}")
-    _run_loops(_LOOPS, _BATCH_FROM, [out], out.k, X)
+    """Consume a batch of observations in row order; returns the new state
+    (input left untouched). A state that breaks KMediansState's rules, or rows
+    X that are not a finite (m, d) array, raise a ValueError naming the field."""
+    out = _checked(state)
+    _run_loops(_LOOPS, _BATCH_FROM, [out], out.k, _stream_rows(X, out.d))
     return out
 
 
@@ -456,32 +448,17 @@ def mc_gradient(centers, X):
     return grad / used, skipped
 
 
-def _model_centers(model: dict, key: str) -> np.ndarray:
-    try:
-        return _check_centers(model.get(key)).copy()
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"model {key}: {exc}") from None
-
-
 def state_from_model(model: dict) -> KMediansState:
-    """Rebuild a resumable stream state from a model snapshot dict. A snapshot
-    no k-medians stream could have left is rejected with the field named."""
+    """Rebuild a resumable stream state from a model snapshot dict: raw_centers
+    become the state's raw, centers its averaged. A snapshot no k-medians
+    stream could have left fails kmedians_stream's own check of the state,
+    whose ValueError names the state field."""
     if model.get("raw_centers") is None:
         raise ValueError("model has no raw centers; only k-medians fits are resumable")
-    raw, avg = _model_centers(model, "raw_centers"), _model_centers(model, "centers")
-    if avg.shape != raw.shape:
-        raise ValueError(f"model centers have shape {avg.shape}, raw_centers {raw.shape}; "
-                         "they must match")
-    k = raw.shape[0]
-    counts = _integers(model.get("update_counts"))
-    if counts is None or counts.shape != (k,) or (counts < 0).any():
-        raise ValueError(f"model update_counts must be {k} non-negative integers")
-    skips = _integers(model.get("skips", 0))
-    if skips is None or skips.shape != () or skips < 0:
-        raise ValueError("model skips must be a non-negative integer")
     try:
         gain = GainConfig(**{key: model.get(key) for key in ("c_gamma", "c_alpha", "alpha")})
-        gain.c_vector(k)  # a c_gamma of another length fails here, not at the first stream
     except ValueError as exc:
         raise ValueError(f"model {exc}") from None
-    return KMediansState(raw=raw, averaged=avg, update_counts=counts, gain=gain, skips=int(skips))
+    return _checked(KMediansState(raw=model["raw_centers"], averaged=model.get("centers"),
+                                  update_counts=_integers(model.get("update_counts")),
+                                  gain=gain, skips=model.get("skips", 0)))

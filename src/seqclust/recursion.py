@@ -1,4 +1,5 @@
-"""What the sequential fits share: seeds, the restart policy and the row walks.
+"""What the sequential fits share: seeds, the restart policy, the row walks
+and the checks of a stream's rows and counts.
 
 MacQueen k-means and averaged k-medians walk the rows alike: in a fixed
 order, each row to its nearest center (ties to the lowest index), which
@@ -15,8 +16,8 @@ import time
 
 import numpy as np
 
-from .core import (_BLOCK_BYTES, _SCALAR_EXACT_D, FitReport, _check_centers, _check_k, _is_int,
-                   _row_min, normalized_distances)
+from .core import (_BLOCK_BYTES, _SCALAR_EXACT_D, FitReport, _check_centers, _check_k, _finite,
+                   _is_int, _row_min, normalized_distances)
 
 __all__ = ["draw_seeds"]
 
@@ -30,16 +31,34 @@ def _row_keys(s) -> list:
 
 
 def _check_seeds(seeds) -> np.ndarray:
-    s = np.asarray(seeds, dtype=float)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("seeds contain non-finite values")
-    s = _check_centers(s)
+    s = _check_centers(seeds, "seeds")
     keys = _row_keys(s)
     for a in range(len(keys)):
         if keys[a] in keys[a + 1:]:
             b = keys.index(keys[a], a + 1)
             raise ValueError(f"seeds {a} and {b} coincide; seeds must be pairwise distinct")
-    return s.copy()
+    return s
+
+
+def _stream_rows(X, d) -> np.ndarray:
+    """X as the finite (m, d) float rows a stream or a step (m = 1) consumes."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"observations must be an (m, {d}) array matching the state, "
+                         f"got shape {X.shape}")
+    if not _finite(X):
+        raise ValueError("observations contain non-finite values")
+    return X
+
+
+def _state_counts(counts, name, k, least) -> np.ndarray:
+    """A copy of a stream state's per-cluster counts, which must be a (k,)
+    integer array with every entry >= least; the error names the field."""
+    if (not isinstance(counts, np.ndarray) or counts.shape != (k,)
+            or counts.dtype.kind not in "iu" or min(counts.tolist()) < least):
+        raise ValueError(f"state {name} must be a ({k},) array of integers >= {least}, "
+                         f"got {counts!r}")
+    return counts.copy()
 
 
 def draw_seeds(X, k, rng) -> np.ndarray:

@@ -73,9 +73,10 @@ def test_step_moves_only_nearest_center():
 
 def test_step_dimension_mismatch():
     state = kmeans_init([[0.0, 0.0]])
-    with pytest.raises(ValueError, match="kmeans_step: dimension mismatch"):
+    with pytest.raises(ValueError, match=r"^observations must be an \(m, 2\) array matching "
+                                         r"the state, got shape \(1, 3\)$"):
         kmeans_step(state, [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="kmeans_step: non-finite observation"):
+    with pytest.raises(ValueError, match="^observations contain non-finite values$"):
         kmeans_step(state, [1.0, np.nan])
 
 

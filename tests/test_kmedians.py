@@ -386,16 +386,16 @@ def test_snapshot_resume_is_bit_exact(tmp_path):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: {"update_counts": doc["update_counts"][:2]},
-     r"model update_counts must be 3 non-negative integers"),
+     r"^state update_counts must be a \(3,\) array of integers >= 0, got array\(\[\d+, +\d+\]\)$"),
     (lambda doc: {"update_counts": [-1, *doc["update_counts"][1:]]},
-     r"model update_counts must be 3 non-negative integers"),
+     r"^state update_counts must be a \(3,\) array of integers >= 0, got array\(\[-1, "),
     (lambda doc: {"raw_centers": doc["raw_centers"][:2]},
-     r"model centers have shape \(3, 2\), raw_centers \(2, 2\); they must match"),
+     r"^state averaged centers have shape \(3, 2\), raw centers \(2, 2\); they must match$"),
     (lambda doc: {"raw_centers": [[math.nan, 0.0], *doc["raw_centers"][1:]]},
-     r"model raw_centers: centers contain non-finite values"),
+     r"^state raw centers contain non-finite values$"),
     (lambda doc: {"centers": [[0.0, 1.0], [2.0]]}, r"model centers is not an array of numbers"),
-    (lambda doc: {"skips": -5}, r"model skips must be a non-negative integer"),
-    (lambda doc: {"skips": 2.5}, r"model skips must be a non-negative integer"),
+    (lambda doc: {"skips": -5}, r"^state skips must be an integer >= 0, got -5$"),
+    (lambda doc: {"skips": 2.5}, r"^state skips must be an integer >= 0, got 2.5$"),
     (lambda doc: {"c_gamma": [1.0, 2.0]}, r"c_gamma must be scalar or length 3, got length 2"),
     (lambda doc: {"c_gamma": "2"}, r"^model c_gamma must be positive and finite$"),
     (lambda doc: {"c_alpha": None}, r"^model c_alpha must be positive and finite$"),
@@ -587,13 +587,13 @@ def test_stream_entry_points_reject_bad_input_naming_the_problem(tmp_path):
     state = kmedians_init([[0.0, 0.0], [1.0, 1.0]], GainConfig())
     X = np.random.default_rng(36).standard_normal((20, 2))
     write_model(kmeans_fit(Dataset(X=X), 2, restarts=1, seed=0), tmp_path / "km.json")
-    batch = r"kmedians_stream: expected \(m, d\) batch matching the state"
+    batch = r"^observations must be an \(m, 2\) array matching the state, got shape "
     for call, message in (
-        (lambda: kmedians_step(state, [1.0, 2.0, 3.0]), "kmedians_step: dimension mismatch"),
-        (lambda: kmedians_stream(state, np.zeros((4, 3))), batch),
-        (lambda: kmedians_stream(state, np.zeros(2)), batch),
+        (lambda: kmedians_step(state, [1.0, 2.0, 3.0]), batch + r"\(1, 3\)$"),
+        (lambda: kmedians_stream(state, np.zeros((4, 3))), batch + r"\(4, 3\)$"),
+        (lambda: kmedians_stream(state, np.zeros(2)), batch + r"\(2,\)$"),
         (lambda: kmedians_stream(state, [[0.0, 0.0], [np.inf, 1.0]]),
-         "kmedians_stream: non-finite observations"),
+         "^observations contain non-finite values$"),
         (lambda: kmedians_init([[0.0, 0.0], [3.0, 4.0]], GainConfig(), bound_K=1.0),
          "seed norm 3.53553 exceeds bound_K=1"),
         *((lambda K=K: kmedians_init([[0.0, 0.0], [1.0, 1.0]], GainConfig(), bound_K=K),
@@ -609,8 +609,8 @@ def test_stream_entry_points_reject_bad_input_naming_the_problem(tmp_path):
 
 
 _SEEDS3 = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
-_AVG2 = r"kmedians_stream: state averaged has shape \(2, 2\), raw \(3, 2\); they must match"
-_COUNTS2 = r"kmedians_stream: state update_counts has shape \(2,\), not \(3,\)"
+_AVG2 = r"^state averaged centers have shape \(2, 2\), raw centers \(3, 2\); they must match$"
+_COUNTS2 = re.escape("state update_counts must be a (3,) array of integers >= 0, got array([0, 0])")
 
 
 def _kmedians_state(**fields):
@@ -632,47 +632,69 @@ def _with(A, index, value):
     (lambda X: kmedians_step(_kmedians_state(update_counts=np.zeros(2, dtype=np.int64)), X[0]),
      _COUNTS2),
     (lambda X: kmeans_step(KMeansState(_SEEDS3.copy(), np.ones(2, dtype=np.int64)), X[0]),
-     r"kmeans_step: state counts has shape \(2,\), not \(3,\)"),
+     re.escape("state counts must be a (3,) array of integers >= 1, got array([1, 1])")),
     *((lambda X, K=K: kmedians_stream(_kmedians_state(bound_K=K), X),
        f"^bound_K must be a finite number, got {re.escape(repr(K))}$")
       for K in (math.nan, math.inf, "5")),
     (lambda X: kmedians_step(_kmedians_state(bound_K=math.nan), X[0]),
      "^bound_K must be a finite number, got nan$"),
     *((lambda X, u=u: kmedians_stream(_kmedians_state(update_counts=np.array(u)), X),
-       re.escape(f"kmedians_stream: state update_counts must be >= 0, got {u}"))
+       re.escape(f"state update_counts must be a (3,) array of integers >= 0, "
+                 f"got {np.array(u)!r}"))
       for u in ([-1, 0, 0], [-2, 0, 0])),
     (lambda X: kmedians_step(_kmedians_state(update_counts=np.array([0, 3, -1])), X[0]),
-     re.escape("kmedians_stream: state update_counts must be >= 0, got [0, 3, -1]")),
+     re.escape("state update_counts must be a (3,) array of integers >= 0, "
+               "got array([ 0,  3, -1])")),
     (lambda X: kmedians_stream(_kmedians_state(skips=-5), X),
-     "^kmedians_stream: state skips must be >= 0, got -5$"),
+     "^state skips must be an integer >= 0, got -5$"),
     (lambda X: kmedians_step(_kmedians_state(skips=-1), X[0]),
-     "^kmedians_stream: state skips must be >= 0, got -1$"),
+     "^state skips must be an integer >= 0, got -1$"),
     (lambda X: kmeans_step(KMeansState(_SEEDS3.copy(), np.array([1, -1, 1])), X[0]),
-     re.escape("kmeans_step: state counts must be >= 1, got [1, -1, 1]")),
+     re.escape("state counts must be a (3,) array of integers >= 1, got array([ 1, -1,  1])")),
     (lambda X: kmeans_step(KMeansState(np.eye(3, 9), np.array([-1, 0, 1])), np.zeros(9)),
-     re.escape("kmeans_step: state counts must be >= 1, got [-1, 0, 1]")),
+     re.escape("state counts must be a (3,) array of integers >= 1, got array([-1,  0,  1])")),
     (lambda X: kmedians_stream(_kmedians_state(raw=_with(_SEEDS3, (1, 0), math.inf)), X),
-     "^kmedians_stream: state raw contains non-finite values$"),
+     "^state raw centers contain non-finite values$"),
     (lambda X: kmedians_step(_kmedians_state(averaged=_with(_SEEDS3, (2, 1), math.nan)), X[0]),
-     "^kmedians_stream: state averaged contains non-finite values$"),
+     "^state averaged centers contain non-finite values$"),
     (lambda X: kmedians_stream(replace(kmedians_init(np.eye(3, 40), GainConfig()),
                                        raw=_with(np.eye(3, 40), (0, 39), -math.inf)),
                                np.zeros((4, 40))),
-     "^kmedians_stream: state raw contains non-finite values$"),
+     "^state raw centers contain non-finite values$"),
     (lambda X: kmedians_stream(_kmedians_state(update_counts=np.array([0.5, 0.0, 0.0])), X),
-     re.escape("kmedians_stream: state update_counts must be integers, got [0.5, 0.0, 0.0]")),
+     re.escape("state update_counts must be a (3,) array of integers >= 0, "
+               "got array([0.5, 0. , 0. ])")),
     (lambda X: kmeans_step(KMeansState(_with(_SEEDS3, (0, 0), math.nan), np.ones(3, dtype=int)),
                            X[0]),
-     "^kmeans_step: state centers contain non-finite values$"),
+     "^state centers contain non-finite values$"),
     (lambda X: kmeans_step(KMeansState(_SEEDS3[:2].copy(), np.array([1.5, 2.0])), X[0]),
-     re.escape("kmeans_step: state counts must be integers, got [1.5, 2.0]")),
+     re.escape("state counts must be a (2,) array of integers >= 1, got array([1.5, 2. ])")),
+    *((lambda X, v=v: kmedians_stream(_kmedians_state(skips=v), X),
+       f"^state skips must be an integer >= 0, got {v}$") for v in (2.5, True)),
+    *((lambda X, e=e: kmedians_stream(_kmedians_state(**e), X),
+       r"^state raw centers must be a \(k, d\) array with k >= 1, d >= 1$")
+      for e in ({"raw": np.zeros(2)},
+                {"raw": np.zeros((0, 2)), "averaged": np.zeros((0, 2)),
+                 "update_counts": np.zeros(0, dtype=np.int64)})),
+    (lambda X: kmedians_stream(_kmedians_state(update_counts=[0, 0, 0]), X),
+     re.escape("state update_counts must be a (3,) array of integers >= 0, got [0, 0, 0]")),
+    (lambda X: kmedians_stream(_kmedians_state(gain=None), X),
+     "^state gain must be a GainConfig, got None$"),
+    *((lambda X, c=c: kmeans_step(KMeansState(c, np.ones(len(c), dtype=np.int64)), X[0]),
+       r"^state centers must be a \(k, d\) array with k >= 1, d >= 1$")
+      for c in (np.zeros(2), np.zeros((0, 2)))),
+    (lambda X: kmeans_step(KMeansState(_SEEDS3.copy(), [1, 1, 1]), X[0]),
+     re.escape("state counts must be a (3,) array of integers >= 1, got [1, 1, 1]")),
 ], ids=["stream-averaged", "step-averaged", "stream-update_counts", "step-update_counts",
         "kmeans_step-counts", "stream-bound-nan", "stream-bound-inf", "stream-bound-str",
         "step-bound-nan", "stream-update_counts-minus-1", "stream-update_counts-minus-2",
         "step-update_counts-negative", "stream-skips-negative", "step-skips-negative",
         "kmeans_step-negative-count-d2", "kmeans_step-count-below-1-d9", "stream-raw-inf",
         "step-averaged-nan", "stream-raw-inf-d40", "stream-update_counts-float",
-        "kmeans_step-centers-nan", "kmeans_step-counts-float"])
+        "kmeans_step-centers-nan", "kmeans_step-counts-float", "stream-skips-fraction",
+        "stream-skips-bool", "stream-raw-1d", "stream-raw-empty", "stream-update_counts-list",
+        "stream-gain-none", "kmeans_step-centers-1d", "kmeans_step-centers-empty",
+        "kmeans_step-counts-list"])
 def test_stream_entry_points_reject_a_hand_built_state_of_mismatched_shapes(call, message):
     # 3 centers with 2 averaged rows, 2 update counts or 2 k-means counts used to
     # fail with an IndexError inside the update loop; a NaN or inf bound_K
@@ -681,10 +703,48 @@ def test_stream_entry_points_reject_a_hand_built_state_of_mismatched_shapes(call
     # a k-medians update count of -1 or -2 raised a float or complex
     # ZeroDivisionError in the gain, and skips of -5 streamed on with n_seen short;
     # inf or NaN centers streamed on and stayed in the result, and k-means counts
-    # of [1.5, 2.0] came back as float counts [2.5, 2.0]
+    # of [1.5, 2.0] came back as float counts [2.5, 2.0]; skips of 2.5 or True
+    # streamed on with a float or bool n_seen; 1-d centers raised IndexError,
+    # (0, 2) centers IndexError or "min() arg is an empty sequence", and list
+    # counts or a gain of None AttributeError
     X = np.random.default_rng(37).standard_normal((200, 2)) * 3.0
     with pytest.raises(ValueError, match=message):
         call(X)
+
+
+_MODEL_KEYS = {"raw": "raw_centers", "averaged": "centers"}  # state field -> model key
+
+
+@pytest.mark.parametrize("field, value", [
+    ("update_counts", [0, 0]),
+    ("update_counts", [-1, 0, 0]),
+    ("skips", 2.5),
+    ("skips", True),
+    ("skips", -1),
+    ("raw", [[math.nan, 0.0], [4.0, 0.0], [0.0, 4.0]]),
+    ("averaged", [[0.0, 0.0], [4.0, 0.0]]),
+    ("c_gamma", [1.0, 2.0]),
+], ids=["short-counts", "negative-count", "fractional-skips", "bool-skips", "negative-skips",
+        "nan-raw", "short-averaged", "short-c_gamma"])
+def test_stream_and_snapshot_refuse_a_state_by_one_rule(tmp_path, field, value):
+    # kmedians_stream and state_from_model each held their own copy of these
+    # rules, and the copies disagreed (skips of 2.5 or True streamed on but did
+    # not resume); both now call one check, so each edit fails both alike
+    path = tmp_path / "model.json"
+    write_model(kmedians_fit(np.random.default_rng(37).standard_normal((50, 2)), 3,
+                             restarts=1, seed=0), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(doc, **{_MODEL_KEYS.get(field, field): value})))
+    if field == "c_gamma":
+        edit = {"gain": GainConfig(c_gamma=value)}
+    else:
+        edit = {field: value if field == "skips" else np.array(value)}
+    with pytest.raises(ValueError) as by_stream:
+        kmedians_stream(_kmedians_state(**edit), np.zeros((1, 2)))
+    with pytest.raises(ValueError) as by_snapshot:
+        state_from_model(read_model(path))
+    assert str(by_stream.value) == str(by_snapshot.value)
+    assert re.search(rf"\b{field}\b", str(by_snapshot.value))
 
 
 @pytest.mark.parametrize("fit", [kmeans_fit, kmedians_fit], ids=["kmeans", "kmedians"])
